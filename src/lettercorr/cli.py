@@ -6,6 +6,12 @@ run; identical parameters and seed give byte-identical files. Sequence
 outputs (normalize, shuffle, synth) carry the same header followed by
 one ASCII byte per symbol; all subcommands skip leading '#' lines when
 reading input, so outputs chain into further analyses.
+
+Each ``cmd_*`` function validates its input, computes its result, stores
+the values it resolved (seed, defaults, normalized spellings) back on
+``args`` and returns its header parameters with a body writer. ``main``
+alone derives the replay line from the parser, writes the header and the
+body, and replaces a file output only when the whole run succeeded.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .divergence import jsd_profile
 from .lexicon import band_jsd, build_lexicon, compare_halves, partition_bands, zipf_fit
@@ -39,19 +45,30 @@ from .walk import average_displacement, default_k_grid, displacement, fit_expone
 
 SEED_ENV = "LETTERCORR_SEED"
 
+# the first two header lines; _load_text reads them to recognise our own
+# sequence files, whose bodies are verbatim symbols
+TITLE = "# lettercorr {}\n"
+REPLAY = "# replay: "
+SEQUENCE_COMMANDS = ("normalize", "shuffle", "synth")
+
+Body = Callable[[IO[bytes]], object]
+
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _read_bytes(path: str) -> bytes:
+@contextmanager
+def _open_input(path: str):
     if path == "-":
-        return sys.stdin.buffer.read()
+        yield sys.stdin.buffer
+        return
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with fh:
+        yield fh
 
 
 def _strip_header(data: bytes) -> bytes:
@@ -64,34 +81,78 @@ def _strip_header(data: bytes) -> bytes:
     return data
 
 
-def _load_text(path: str, trim: bool = False) -> NormalizedText:
-    data = _read_bytes(path)
-    if data.startswith(b"# lettercorr "):
-        # our own sequence files are verbatim symbols; re-normalizing
-        # would collapse the repeated spaces surrogates may contain
+def _is_sequence_file(data: bytes) -> bool:
+    for command in SEQUENCE_COMMANDS:
+        title = TITLE.format(command).encode()
+        if data.startswith(title):
+            return data.startswith(REPLAY.encode(), len(title))
+    return False
+
+
+def _load_text(path: str) -> NormalizedText:
+    with _open_input(path) as fh:
+        data = fh.read()
+    if _is_sequence_file(data):
+        # re-normalizing would collapse the repeated spaces surrogates may contain
         return decode_symbols(_strip_header(data))
-    return normalize(_strip_header(data), trim=trim)
+    return normalize(_strip_header(data))
 
 
 @contextmanager
 def _open_output(path: str):
+    """Yield the stream for the output at ``path`` ('-' is stdout).
+
+    A regular file is written under a temporary name in its directory and
+    renamed over ``path`` only when the block completes, so a failed run
+    leaves an existing file untouched and creates none. Pipes and devices
+    cannot be swapped for a new file and are written in place.
+    """
     if path == "-":
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
-    else:
-        try:
-            fh = open(path, "wb")
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    real = os.path.realpath(path)  # replace a symlink's target, not the link
+    target = path if in_place else f"{real}.{os.urandom(4).hex()}.tmp"
+    try:
+        # either mode creates with 0o666 & ~umask; "x" never clobbers a file
+        fh = open(target, "wb" if in_place else "xb")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
         with fh:
             yield fh
+        if not in_place:
+            os.replace(target, real)
+    except BaseException:
+        if not in_place:
+            os.unlink(target)
+        raise
 
 
 def _write_header(out: IO[bytes], replay: list[str], params: dict[str, object]) -> None:
-    out.write(("# lettercorr " + replay[0] + "\n").encode())
-    out.write(("# replay: " + shlex.join(replay) + "\n").encode())
+    out.write((TITLE.format(replay[0]) + REPLAY + shlex.join(replay) + "\n").encode())
     for key, val in params.items():
         out.write(f"# {key}: {val}\n".encode())
+
+
+def _replay(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The command line that reproduces ``args``: the subcommand, then each
+    of its flags in definition order with its resolved value."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    words = [args.command]
+    for action in commands.choices[args.command]._actions:
+        if action.dest in ("help", "output"):
+            continue
+        flag, value = action.option_strings[0], getattr(args, action.dest)
+        if isinstance(action, argparse._StoreTrueAction):
+            words += [flag] if value else []
+        elif isinstance(action, argparse._AppendAction):
+            for item in value or []:
+                words += [flag, str(item)]
+        elif value is not None:
+            words += [flag, str(value)]
+    return words
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -106,14 +167,20 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     raise ValueError(f"--seed is required (or set {SEED_ENV})")
 
 
-def _parse_range(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(":")
+def _parse_fit(args: argparse.Namespace) -> tuple[int, int] | None:
+    """The ``--fit MIN:MAX`` range, if given; its normalized spelling is
+    stored back on ``args``."""
+    if not args.fit:
+        args.fit = None
+        return None
+    parts = args.fit.split(":")
     if len(parts) != 2:
-        raise ValueError(f"{flag} must look like MIN:MAX, got {text!r}")
+        raise ValueError(f"--fit must look like MIN:MAX, got {args.fit!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"{flag} must hold two integers, got {text!r}") from None
+        raise ValueError(f"--fit must hold two integers, got {args.fit!r}") from None
+    args.fit = f"{lo}:{hi}"
     return lo, hi
 
 
@@ -129,72 +196,32 @@ def _parse_letters(values: list[str]) -> list[int]:
     return codes
 
 
-class _HeaderSkippingReader:
-    """Serves a pre-read first chunk, then delegates to the stream."""
+def cmd_normalize(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
+    def body(out: IO[bytes]) -> None:
+        with _open_input(args.input) as src:
+            while src.peek(1).startswith(b"#"):  # the same header lines _strip_header drops
+                src.readline()
+            normalize_stream(src, out, trim=args.trim)
 
-    def __init__(self, fh: IO[bytes], first: bytes) -> None:
-        self._fh = fh
-        self._first = first
-
-    def read(self, size: int = -1) -> bytes:
-        if self._first:
-            if size is None or size < 0:
-                out, self._first = self._first, b""
-                return out + self._fh.read(size)
-            out, self._first = self._first[:size], self._first[size:]
-            return out
-        return self._fh.read(size)
+    return {"input": args.input}, body
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
-    replay = ["normalize", "--input", args.input]
-    if args.trim:
-        replay.append("--trim")
-
-    def run(src: IO[bytes], out: IO[bytes]) -> None:
-        first = src.read(1 << 20)
-        reader = _HeaderSkippingReader(src, _strip_header(first))
-        _write_header(out, replay, {"input": args.input})
-        normalize_stream(reader, out, trim=args.trim)
-
-    with _open_output(args.output) as out:
-        if args.input == "-":
-            run(sys.stdin.buffer, out)
-        else:
-            try:
-                src = open(args.input, "rb")
-            except OSError as exc:
-                raise OSError(f"cannot read {args.input}: {exc.strerror or exc}") from exc
-            with src:
-                run(src, out)
-    return 0
-
-
-def cmd_walk(args: argparse.Namespace) -> int:
+def cmd_walk(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
     if len(text) == 0:
         raise ValueError("empty text")
     letters = _parse_letters(args.letter)
-    fit_range = _parse_range(args.fit, "--fit") if args.fit else None
-
-    replay = ["walk", "--input", args.input]
-    for code in letters:
-        replay += ["--letter", symbol_name(code)]
-    replay += ["--points-per-decade", str(args.points_per_decade)]
-    if fit_range:
-        replay += ["--fit", f"{fit_range[0]}:{fit_range[1]}"]
-    if args.average:
-        replay.append("--average")
+    fit_range = _parse_fit(args)
+    args.letter = [symbol_name(code) for code in letters]
 
     grid = default_k_grid(len(text), args.points_per_decade)
-    names = [symbol_name(code) for code in letters]
+    names = list(args.letter)
     curves = [displacement(indicator(text, code), grid) for code in letters]
     if args.average:
         names.append("average")
         curves.append(average_displacement(curves))
 
-    with _open_output(args.output) as out:
-        _write_header(out, replay, {"input": args.input, "n": len(text)})
+    def body(out: IO[bytes]) -> None:
         for i, (name, curve) in enumerate(zip(names, curves)):
             if i:
                 out.write(b"\n")
@@ -212,84 +239,60 @@ def cmd_walk(args: argparse.Namespace) -> int:
             out.write(b"k\tF\n")
             for k, f in zip(curve.k, curve.f):
                 out.write(f"{int(k)}\t{_fmt(float(f))}\n".encode())
-    return 0
+
+    return {"input": args.input, "n": len(text)}, body
 
 
-def cmd_shuffle(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+def cmd_shuffle(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
+    args.seed = _resolve_seed(args)
     text = _load_text(args.input)
     mode = args.mode
     if mode in ("window-sample", "window-permute"):
         if args.window is None:
             raise ValueError(f"--window is required for mode {mode}")
         if mode == "window-sample":
-            result = window_shuffle(text, args.window, seed)
+            result = window_shuffle(text, args.window, args.seed)
         else:
-            result = window_permute(text, args.window, seed)
-    elif mode == "letter":
-        result = letter_shuffle(text, seed)
+            result = window_permute(text, args.window, args.seed)
     else:
-        result = word_shuffle(text, seed)
-
-    replay = ["shuffle", "--input", args.input, "--mode", mode]
-    if mode in ("window-sample", "window-permute"):
-        replay += ["--window", str(args.window)]
-    replay += ["--seed", str(seed)]
-    with _open_output(args.output) as out:
-        _write_header(out, replay, {"n": len(result)})
-        out.write(result.to_bytes())
-    return 0
+        args.window = None  # the letter and word shuffles take no window
+        if mode == "letter":
+            result = letter_shuffle(text, args.seed)
+        else:
+            result = word_shuffle(text, args.seed)
+    return {"n": len(result)}, lambda out: out.write(result.to_bytes())
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    burst_start = args.burst_start
-    if burst_start is None:
-        burst_start = max((args.length - args.burst_len) // 2, 0)
+def cmd_synth(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
+    args.seed = _resolve_seed(args)
+    if args.burst_start is None:
+        args.burst_start = max((args.length - args.burst_len) // 2, 0)
     seq = two_regime_sequence(
         length=args.length,
         base_p=args.base_p,
         burst_p=args.burst_p,
         burst_len=args.burst_len,
-        burst_start=burst_start,
-        seed=seed,
+        burst_start=args.burst_start,
+        seed=args.seed,
     )
-    replay = [
-        "synth",
-        "--length", str(args.length),
-        "--base-p", str(args.base_p),
-        "--burst-p", str(args.burst_p),
-        "--burst-len", str(args.burst_len),
-        "--burst-start", str(burst_start),
-        "--seed", str(seed),
-    ]
-    with _open_output(args.output) as out:
-        _write_header(out, replay, {"n": len(seq)})
-        out.write(seq.to_bytes())
-    return 0
+    return {"n": len(seq)}, lambda out: out.write(seq.to_bytes())
 
 
-def cmd_jsd_profile(args: argparse.Namespace) -> int:
+def cmd_jsd_profile(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
-    step = args.step if args.step is not None else max(args.segment_length // 10, 1)
+    if args.step is None:
+        args.step = max(args.segment_length // 10, 1)
     include_space = args.alphabet == "with-space"
-    profile = jsd_profile(text, args.segment_length, step, include_space=include_space)
+    profile = jsd_profile(text, args.segment_length, args.step, include_space=include_space)
 
-    replay = [
-        "jsd-profile",
-        "--input", args.input,
-        "--segment-length", str(args.segment_length),
-        "--step", str(step),
-        "--alphabet", args.alphabet,
-    ]
     params: dict[str, object] = {"input": args.input, "n": len(text)}
     if len(profile):
         peak = int(profile.normalized.argmax())
         params["max-normalized"] = (
             f"{_fmt(float(profile.normalized[peak]))} at position {int(profile.positions[peak])}"
         )
-    with _open_output(args.output) as out:
-        _write_header(out, replay, params)
+
+    def body(out: IO[bytes]) -> None:
         out.write(b"position\traw\tfluct\tnormalized\n")
         for i in range(len(profile)):
             out.write(
@@ -298,17 +301,15 @@ def cmd_jsd_profile(args: argparse.Namespace) -> int:
                     f"{_fmt(float(profile.fluct[i]))}\t{_fmt(float(profile.normalized[i]))}\n"
                 ).encode()
             )
-    return 0
+
+    return params, body
 
 
-def cmd_zipf(args: argparse.Namespace) -> int:
+def cmd_zipf(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
     lex = build_lexicon(tokenize(text))
-    fit_range = _parse_range(args.fit, "--fit") if args.fit else None
+    fit_range = _parse_fit(args)
 
-    replay = ["zipf", "--input", args.input, "--top", str(args.top)]
-    if fit_range:
-        replay += ["--fit", f"{fit_range[0]}:{fit_range[1]}"]
     params: dict[str, object] = {
         "input": args.input,
         "word-types": len(lex),
@@ -316,39 +317,25 @@ def cmd_zipf(args: argparse.Namespace) -> int:
     }
     if fit_range:
         params["zipf-exponent"] = _fmt(zipf_fit(lex, *fit_range))
-        params["fit-range"] = f"{fit_range[0]}:{fit_range[1]}"
+        params["fit-range"] = args.fit
     limit = args.top if args.top > 0 else len(lex)
-    with _open_output(args.output) as out:
-        _write_header(out, replay, params)
+
+    def body(out: IO[bytes]) -> None:
         out.write(b"rank\tword\tcount\tlength\tletter_share\n")
         for e in lex.entries[:limit]:
             out.write(
                 f"{e.rank}\t{e.word}\t{e.count}\t{e.length}\t{_fmt(e.letter_share)}\n".encode()
             )
-    return 0
+
+    return params, body
 
 
-def cmd_bands(args: argparse.Namespace) -> int:
+def cmd_bands(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
     lex = build_lexicon(tokenize(text))
     partition = partition_bands(lex, args.band_count, args.target_share)
 
-    replay = [
-        "bands",
-        "--input", args.input,
-        "--band-count", str(args.band_count),
-        "--target-share", str(args.target_share),
-    ]
-    with _open_output(args.output) as out:
-        _write_header(
-            out,
-            replay,
-            {
-                "input": args.input,
-                "word-types": len(lex),
-                "degenerate": str(partition.degenerate).lower(),
-            },
-        )
+    def body(out: IO[bytes]) -> None:
         out.write(b"band\trank_lo\trank_hi\tword_types\tletter_share\n")
         for band in partition.bands:
             out.write(
@@ -357,28 +344,21 @@ def cmd_bands(args: argparse.Namespace) -> int:
                     f"{band.word_types}\t{_fmt(band.letter_share)}\n"
                 ).encode()
             )
-    return 0
+
+    return {
+        "input": args.input,
+        "word-types": len(lex),
+        "degenerate": str(partition.degenerate).lower(),
+    }, body
 
 
-def cmd_band_jsd(args: argparse.Namespace) -> int:
+def cmd_band_jsd(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
     lex = build_lexicon(tokenize(text))
     partition = partition_bands(lex, args.band_count, args.target_share)
     report = band_jsd(text, lex, partition, args.segment_length)
 
-    replay = [
-        "band-jsd",
-        "--input", args.input,
-        "--band-count", str(args.band_count),
-        "--target-share", str(args.target_share),
-        "--segment-length", str(args.segment_length),
-    ]
-    with _open_output(args.output) as out:
-        _write_header(
-            out,
-            replay,
-            {"input": args.input, "n": len(text), "segment-length": report.segment_length},
-        )
+    def body(out: IO[bytes]) -> None:
         out.write(b"band\trank_lo\trank_hi\tword_types\tpairs\tmean_normalized\tmean_letters\n")
         for e in report.entries:
             band = e.band
@@ -388,10 +368,11 @@ def cmd_band_jsd(args: argparse.Namespace) -> int:
                     f"{e.pair_count}\t{_fmt(e.mean_normalized)}\t{_fmt(e.mean_trials)}\n"
                 ).encode()
             )
-    return 0
+
+    return {"input": args.input, "n": len(text), "segment-length": report.segment_length}, body
 
 
-def cmd_halves(args: argparse.Namespace) -> int:
+def cmd_halves(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
     comp = compare_halves(text)
     ratios = []
@@ -401,9 +382,6 @@ def cmd_halves(args: argparse.Namespace) -> int:
             raise ValueError(f"--ratio must look like WORD:WORD, got {spec!r}")
         ratios.append((parts[0], parts[1]))
 
-    replay = ["halves", "--input", args.input, "--top", str(args.top)]
-    for numer, denom in ratios:
-        replay += ["--ratio", f"{numer}:{denom}"]
     params: dict[str, object] = {
         "input": args.input,
         "split-at": comp.split_at,
@@ -418,8 +396,8 @@ def cmd_halves(args: argparse.Namespace) -> int:
     words = comp.words()
     if args.top > 0:
         words = words[: args.top]
-    with _open_output(args.output) as out:
-        _write_header(out, replay, params)
+
+    def body(out: IO[bytes]) -> None:
         out.write(b"word\tcount_first\tcount_second\tfreq_first\tfreq_second\trel_change\n")
         for w in words:
             out.write(
@@ -429,7 +407,8 @@ def cmd_halves(args: argparse.Namespace) -> int:
                     f"{_fmt(comp.relative_change(w))}\n"
                 ).encode()
             )
-    return 0
+
+    return params, body
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,10 +503,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        params, write_body = args.func(args)
+        with _open_output(args.output) as out:
+            _write_header(out, _replay(parser, args), params)
+            write_body(out)
+    except BrokenPipeError:
+        # the reader went away (`| head`): exit quietly, and point stdout at
+        # devnull so the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

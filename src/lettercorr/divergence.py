@@ -11,7 +11,6 @@ symbol composition really changed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

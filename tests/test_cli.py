@@ -1,8 +1,15 @@
+import os
 import shlex
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lettercorr
 from lettercorr import decode_symbols, normalize
 from lettercorr.cli import main
 
@@ -100,10 +107,6 @@ def test_walk_output_and_fit_header(tmp_path, corpus_file):
     k_col = [r.split("\t")[0] for r in rows if r.split("\t")[0] != "k"]
     assert all(int(v) >= 1 for v in k_col)
 
-    replayed = tmp_path / "walk2.tsv"
-    assert run(_replay_line(out) + ["--output", str(replayed)]) == 0
-    assert replayed.read_bytes() == out.read_bytes()
-
 
 def test_synth_is_deterministic_and_replayable(tmp_path):
     a = tmp_path / "a.txt"
@@ -112,10 +115,6 @@ def test_synth_is_deterministic_and_replayable(tmp_path):
     assert run(args + [a]) == 0
     assert run(args + [b]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-    replayed = tmp_path / "c.txt"
-    assert run(_replay_line(a) + ["--output", str(replayed)]) == 0
-    assert replayed.read_bytes() == a.read_bytes()
 
 
 def test_shuffle_modes_and_replay(tmp_path, corpus_file):
@@ -133,10 +132,6 @@ def test_shuffle_modes_and_replay(tmp_path, corpus_file):
     ) == 0
     perm_hist = np.bincount(decode_symbols(_body(exact)).codes, minlength=27)
     assert np.array_equal(perm_hist, src_hist)
-
-    replayed = tmp_path / "replay.txt"
-    assert run(_replay_line(out) + ["--output", str(replayed)]) == 0
-    assert replayed.read_bytes() == out.read_bytes()
 
 
 def test_shuffle_window_mode_requires_window(tmp_path, corpus_file, capsys):
@@ -165,10 +160,6 @@ def test_jsd_profile_output(tmp_path, corpus_file):
     assert int(first[0]) == 5000
     assert float(first[2]) > 0
     assert "max-normalized" in _header(out)
-
-    replayed = tmp_path / "prof2.tsv"
-    assert run(_replay_line(out) + ["--output", str(replayed)]) == 0
-    assert replayed.read_bytes() == out.read_bytes()
 
 
 def test_zipf_output(tmp_path, corpus_file):
@@ -229,3 +220,115 @@ def test_walk_reads_sequence_outputs(tmp_path):
     assert "# n: 100000\n" in header
     alpha = float(next(l for l in header.splitlines() if l.startswith("# alpha: ")).split(": ")[1])
     assert 0.8 <= alpha <= 1.2
+
+
+# one run per subcommand; edge cases whose replay line differs from the
+# command as typed: comma-separated and named letters, a zero-padded fit
+# range, a window the letter shuffle ignores, a centred burst and the
+# default step
+REPLAY_CASES = {
+    "normalize": ["normalize", "--trim"],
+    "walk": ["walk", "-l", "a,e,space", "--average", "--fit", "010:1000"],
+    "shuffle": ["shuffle", "--mode", "window-sample", "--window", 500, "--seed", 4],
+    "shuffle-letter": ["shuffle", "--mode", "letter", "--window", 77, "--seed", 4],
+    "synth": ["synth", "--length", 5000, "--burst-len", 100, "--seed", 9],
+    "jsd-profile": ["jsd-profile", "-L", 5000],
+    "zipf": ["zipf", "--top", 3],
+    "bands": ["bands"],
+    "band-jsd": ["band-jsd", "-L", 10_000],
+    "halves": ["halves", "--top", 5, "--ratio", "whale:sea", "--ratio", "ship:man"],
+}
+
+
+@pytest.mark.parametrize("argv", REPLAY_CASES.values(), ids=REPLAY_CASES.keys())
+def test_replay_line_reproduces_the_output(tmp_path, corpus_file, argv):
+    inputs = [] if argv[0] == "synth" else ["--input", corpus_file]
+    out, replayed = tmp_path / "out", tmp_path / "replayed"
+    assert run(argv + inputs + ["--output", out]) == 0
+    assert run(_replay_line(out) + ["--output", replayed]) == 0
+    assert replayed.read_bytes() == out.read_bytes()
+
+
+def test_replay_line_lists_resolved_flags_in_parser_order(tmp_path, corpus_file):
+    out = tmp_path / "walk.tsv"
+    assert run(["walk", "-o", out, "--fit", "010:1000", "-l", "e,space", "-i", corpus_file]) == 0
+    assert _replay_line(out) == [
+        "walk", "--input", str(corpus_file), "--letter", "e", "--letter", "space",
+        "--points-per-decade", "20", "--fit", "10:1000",
+    ]
+
+
+# the fit range lies beyond the text, so the run fails after it has computed
+# the curves and started writing
+FAILING_WALK = ["walk", "-l", "e,q", "--fit", "100000:200000"]
+
+
+def test_failed_run_creates_no_file(tmp_path, corpus_file, capsys):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert run(FAILING_WALK + ["--input", corpus_file, "--output", outdir / "walk.tsv"]) == 1
+    assert "letter e: need at least 3 points" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
+def test_failed_run_leaves_existing_output_untouched(tmp_path, corpus_file):
+    out = tmp_path / "walk.tsv"
+    out.write_bytes(b"earlier result\n")
+    assert run(FAILING_WALK + ["--input", corpus_file, "--output", out]) == 1
+    assert out.read_bytes() == b"earlier result\n"
+
+
+def test_output_mode_matches_a_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "wb"):
+        pass
+    out = tmp_path / "synth.txt"
+    assert run(["synth", "--length", 1000, "--burst-len", 10, "--seed", 1, "--output", out]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_output_through_a_symlink_keeps_the_link(tmp_path):
+    (tmp_path / "runs").mkdir()
+    real, link = tmp_path / "runs" / "run3.txt", tmp_path / "latest.txt"
+    link.symlink_to(real)
+    assert run(["synth", "--length", 1000, "--burst-len", 10, "--seed", 1, "--output", link]) == 0
+    assert link.is_symlink() and real.read_bytes().startswith(b"# lettercorr synth\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["latest.txt", "run3.txt", "runs"]
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(["synth", "--length", 1000, "--burst-len", 10, "--seed", 1, "--output", fifo]) == 0
+    reader.join(timeout=10)
+    assert got and got[0].startswith(b"# lettercorr synth\n")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_text_starting_like_a_header_is_normalized(tmp_path):
+    src = tmp_path / "notes.txt"
+    src.write_text("# lettercorr notes\nCall me Ishmael. Call ME again.\n")
+    out = tmp_path / "zipf.tsv"
+    assert run(["zipf", "--input", src, "--output", out]) == 0
+    rows = [l.split("\t") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert {r[1]: r[2] for r in rows[1:]} == {"call": "2", "me": "2", "ishmael": "1", "again": "1"}
+
+
+def test_broken_pipe_exits_quietly(tmp_path, corpus_file):
+    argv = ["jsd-profile", "-i", str(corpus_file), "-L", "100"]
+    full = tmp_path / "full.tsv"
+    assert run(argv + ["-o", full]) == 0
+    assert full.stat().st_size > 1 << 16  # more than a pipe buffer holds
+    paths = [str(Path(lettercorr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys; from lettercorr.cli import main; sys.exit(main())"
+    with subprocess.Popen(
+        [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
