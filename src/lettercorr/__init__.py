@@ -43,7 +43,7 @@ from .textnorm import (
     ALPHABET_SIZE,
     SPACE,
     NormalizedText,
-    Token,
+    Tokens,
     decode_symbols,
     normalize,
     normalize_stream,
@@ -79,7 +79,7 @@ __all__ = [
     "NormalizedText",
     "ScalingFit",
     "SymbolDistribution",
-    "Token",
+    "Tokens",
     "VarianceModel",
     "average_displacement",
     "band_filter_text",

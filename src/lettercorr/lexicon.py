@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .divergence import fluctuation_level, jsd, segment_distribution
-from .textnorm import SPACE, NormalizedText, Token, tokenize
+from .textnorm import SPACE, NormalizedText, Tokens, tokenize
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,6 @@ class FrequencyLexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def words_in_ranks(self, rank_lo: int, rank_hi: int) -> frozenset[str]:
-        """Word types with rank in [rank_lo, rank_hi]; empty when lo > hi."""
-        if rank_lo > rank_hi:
-            return frozenset()
-        return frozenset(e.word for e in self.entries[rank_lo - 1 : rank_hi])
 
 
 @dataclass(frozen=True)
@@ -92,11 +86,11 @@ class VarianceModel(NamedTuple):
     relative_sd: float
 
 
-def build_lexicon(tokens: Iterable[Token]) -> FrequencyLexicon:
+def build_lexicon(tokens: Tokens) -> FrequencyLexicon:
     """Rank word types by decreasing count; rank 1 is the most frequent."""
-    counts = Counter(t.text for t in tokens)
-    if not counts:
+    if not len(tokens):
         raise ValueError("no tokens to rank")
+    counts = dict(zip(tokens.vocab, np.bincount(tokens.types).tolist()))
     total_letters = sum(c * len(w) for w, c in counts.items())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     entries = tuple(
@@ -190,7 +184,7 @@ def band_filter_text(
     text: NormalizedText,
     lex: FrequencyLexicon,
     band: Band,
-    tokens: Sequence[Token] | None = None,
+    tokens: Tokens | None = None,
 ) -> NormalizedText:
     """Blank out every word not in the band, keeping offsets intact.
 
@@ -200,11 +194,12 @@ def band_filter_text(
     """
     if tokens is None:
         tokens = tokenize(text)
-    keep = lex.words_in_ranks(band.rank_lo, band.rank_hi)
+    in_band = {e.word for e in lex.entries[band.rank_lo - 1 : band.rank_hi]}
+    keep = np.array([w in in_band for w in tokens.vocab], dtype=bool)
+    # tokens tile the letters in order, so token masks repeat into letter masks
+    letters = np.flatnonzero(text.codes != SPACE)
     out = text.codes.copy()
-    for t in tokens:
-        if t.text not in keep:
-            out[t.start : t.start + t.length] = SPACE
+    out[letters[np.repeat(~keep[tokens.types], tokens.lengths)]] = SPACE
     return NormalizedText(out)
 
 
@@ -270,8 +265,7 @@ class HalfComparison:
 
     def words(self) -> list[str]:
         """All word types, by decreasing total count, then alphabetically."""
-        totals = Counter(self.first)
-        totals.update(self.second)
+        totals = Counter(self.first) + Counter(self.second)
         return sorted(totals, key=lambda w: (-totals[w], w))
 
     def frequency(self, word: str, half: int) -> float:
@@ -291,12 +285,14 @@ class HalfComparison:
         return (f2 - f1) / f1
 
     def count_ratio(self, numer: str, denom: str, half: int) -> float:
-        """Count ratio of two words within one half."""
-        top = self.first.get(numer, 0) if half == 1 else self.second.get(numer, 0)
-        bottom = self.first.get(denom, 0) if half == 1 else self.second.get(denom, 0)
+        """Count ratio of two words within half 1 or 2."""
+        if half not in (1, 2):
+            raise ValueError("half must be 1 or 2")
+        counts = self.first if half == 1 else self.second
+        bottom = counts.get(denom, 0)
         if bottom == 0:
             raise ValueError(f"word {denom!r} does not occur in half {half}")
-        return top / bottom
+        return counts.get(numer, 0) / bottom
 
 
 def compare_halves(text: NormalizedText) -> HalfComparison:
@@ -304,27 +300,26 @@ def compare_halves(text: NormalizedText) -> HalfComparison:
 
     The split point is the midpoint symbol snapped to the nearest token
     boundary, so no word is cut in two and the per-half counts partition
-    the full token stream.
+    the full token stream. Each half must hold at least one word.
     """
     tokens = tokenize(text)
-    if not tokens:
-        raise ValueError("no words in text")
+    # a token goes to the first half unless mid is nearer its start than its end
     mid = len(text) // 2
-    split = mid
-    for t in tokens:
-        if t.start >= mid:
-            break
-        end = t.start + t.length
-        if end > mid:
-            split = t.start if mid - t.start < end - mid else end
-            break
-    first = Counter(t.text for t in tokens if t.start < split)
-    second = Counter(t.text for t in tokens if t.start >= split)
+    ends = tokens.starts + tokens.lengths
+    first_tokens = int(np.searchsorted(tokens.starts + ends, 2 * mid, side="right"))
+    if first_tokens in (0, len(tokens)):
+        raise ValueError("no words in one half of the text; both halves need words")
+    split = min(max(mid, int(ends[first_tokens - 1])), int(tokens.starts[first_tokens]))
+
+    def counts(types: np.ndarray) -> dict[str, int]:
+        per_type = np.bincount(types, minlength=len(tokens.vocab)).tolist()
+        return {w: c for w, c in zip(tokens.vocab, per_type) if c}
+
     return HalfComparison(
-        first=dict(first),
-        second=dict(second),
-        first_tokens=sum(first.values()),
-        second_tokens=sum(second.values()),
+        first=counts(tokens.types[:first_tokens]),
+        second=counts(tokens.types[first_tokens:]),
+        first_tokens=first_tokens,
+        second_tokens=len(tokens) - first_tokens,
         split_at=split,
     )
 

@@ -79,9 +79,9 @@ def word_shuffle(text: NormalizedText, seed: int) -> NormalizedText:
     if len(text) == 0:
         raise ValueError("empty text")
     rng = _rng(seed)
-    words = [t.text for t in tokenize(text)]
-    order = rng.permutation(len(words))
-    return normalize(" ".join(words[i] for i in order))
+    tokens = tokenize(text)
+    order = rng.permutation(len(tokens))
+    return normalize(" ".join([tokens.vocab[i] for i in tokens.types[order].tolist()]))
 
 
 def two_regime_sequence(

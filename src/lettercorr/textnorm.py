@@ -7,7 +7,6 @@ form and splits it into words.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -30,8 +29,6 @@ _STREAM_TABLE = bytes(
     c + 32 if ord("A") <= c <= ord("Z") else (c if ord("a") <= c <= ord("z") else ord(" "))
     for c in range(256)
 )
-
-_WORD = re.compile(rb"[a-z]+")
 
 
 def symbol_code(letter: int | str) -> int:
@@ -99,13 +96,21 @@ class NormalizedText:
         return NormalizedText(self.codes[keep[0] : keep[-1] + 1])
 
 
-@dataclass(frozen=True)
-class Token:
-    """A maximal space-free run of letters."""
+@dataclass(frozen=True, eq=False)
+class Tokens:
+    """The words of a normalized text as a table, one row per token.
 
-    text: str
-    start: int
-    length: int
+    Token i spans ``starts[i] : starts[i] + lengths[i]`` of the text and
+    spells ``vocab[types[i]]``, the distinct words by first occurrence.
+    """
+
+    starts: np.ndarray  # int64
+    lengths: np.ndarray  # int64
+    types: np.ndarray  # int64 index into vocab
+    vocab: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return self.starts.size
 
 
 def normalize(raw: str | bytes, *, trim: bool = False) -> NormalizedText:
@@ -194,14 +199,14 @@ def decode_symbols(data: bytes) -> NormalizedText:
     return NormalizedText(_BYTE_TO_CODE[buf])
 
 
-def tokenize(text: NormalizedText) -> list[Token]:
-    """Split normalized text into its words.
+def tokenize(text: NormalizedText) -> Tokens:
+    """Split normalized text into its words, the maximal runs of letters.
 
-    Joining the results with single spaces reproduces the space-trimmed
+    Joining the words with single spaces reproduces the space-trimmed
     text; offsets refer to positions in ``text``.
     """
-    data = text.to_bytes()
-    return [
-        Token(m.group().decode("ascii"), m.start(), m.end() - m.start())
-        for m in _WORD.finditer(data)
-    ]
+    edges = np.flatnonzero(np.diff(text.codes != SPACE, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    ids: dict[bytes, int] = {}
+    types = np.fromiter((ids.setdefault(w, len(ids)) for w in text.to_bytes().split()), np.int64)
+    return Tokens(starts, ends - starts, types, tuple(w.decode("ascii") for w in ids))

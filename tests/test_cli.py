@@ -208,6 +208,17 @@ def test_halves_bad_ratio_spec(tmp_path, corpus_file, capsys):
     assert "WORD:WORD" in capsys.readouterr().err
 
 
+def test_halves_with_an_empty_half_fails_cleanly(tmp_path, capsys):
+    src = tmp_path / "one.txt"
+    src.write_text("call")
+    out = tmp_path / "halves.tsv"
+    assert run(["halves", "--input", src, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "both halves need words" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_walk_reads_sequence_outputs(tmp_path):
     # synth -> walk pipeline: the '#' header must be skipped on read
     seq = tmp_path / "seq.txt"

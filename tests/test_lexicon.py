@@ -1,17 +1,22 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lettercorr import (
     SPACE,
     NormalizedText,
-    Token,
+    Tokens,
     band_filter_text,
     band_jsd,
     build_lexicon,
     compare_halves,
     content_word_variance_model,
+    decode_symbols,
     normalize,
     partition_bands,
     tokenize,
@@ -20,8 +25,64 @@ from lettercorr import (
 from lettercorr.lexicon import FrequencyLexicon, LexiconEntry
 
 
-def _tokens(words) -> list[Token]:
-    return [Token(w, 0, len(w)) for w in words]
+def _tokens(words) -> Tokens:
+    return tokenize(normalize(" ".join(words)))
+
+
+# surrogate-like texts: few letters, so words repeat, and runs of spaces
+surrogates = st.lists(st.sampled_from("abc   "), max_size=300).map(
+    lambda s: decode_symbols("".join(s).encode())
+)
+
+
+# The paths the token table replaced, kept as references.
+
+
+def _regex_tokens(text: NormalizedText) -> list[tuple[str, int, int]]:
+    return [
+        (m.group().decode("ascii"), m.start(), m.end() - m.start())
+        for m in re.finditer(rb"[a-z]+", text.to_bytes())
+    ]
+
+
+def _counter_lexicon(words: list[str]) -> FrequencyLexicon:
+    counts = Counter(words)
+    total_letters = sum(c * len(w) for w, c in counts.items())
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    entries = tuple(
+        LexiconEntry(
+            rank=i + 1, word=w, count=c, length=len(w), letter_share=c * len(w) / total_letters
+        )
+        for i, (w, c) in enumerate(ordered)
+    )
+    return FrequencyLexicon(entries=entries, total_letters=total_letters)
+
+
+def _loop_band_filter(text: NormalizedText, lex: FrequencyLexicon, band) -> NormalizedText:
+    keep = frozenset()
+    if band.rank_lo <= band.rank_hi:
+        keep = frozenset(e.word for e in lex.entries[band.rank_lo - 1 : band.rank_hi])
+    out = text.codes.copy()
+    for word, start, length in _regex_tokens(text):
+        if word not in keep:
+            out[start : start + length] = SPACE
+    return NormalizedText(out)
+
+
+def _scanned_halves(text: NormalizedText) -> tuple[Counter, Counter, int]:
+    tokens = _regex_tokens(text)
+    mid = len(text) // 2
+    split = mid
+    for _, start, length in tokens:
+        if start >= mid:
+            break
+        end = start + length
+        if end > mid:
+            split = start if mid - start < end - mid else end
+            break
+    first = Counter(w for w, start, _ in tokens if start < split)
+    second = Counter(w for w, start, _ in tokens if start >= split)
+    return first, second, split
 
 
 def _iid_letter_text(n: int, seed: int) -> NormalizedText:
@@ -44,16 +105,23 @@ def test_lexicon_letter_shares_sum_to_one():
     assert lex.total_letters == 5 + 5 + 3 + 1
     assert sum(e.letter_share for e in lex.entries) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="no tokens"):
-        build_lexicon([])
+        build_lexicon(_tokens([]))
+
+
+@given(surrogates)
+def test_build_lexicon_matches_the_counter_lexicon(text):
+    words = [w for w, _, _ in _regex_tokens(text)]
+    assume(words)
+    assert build_lexicon(tokenize(text)) == _counter_lexicon(words)
 
 
 def test_zipf_fit_recovers_exact_exponents():
     # counts C/k are exact integers for k <= 12 when C = 27720
     words = [f"w{chr(97 + i)}" for i in range(12)]
-    tokens = []
+    stream = []
     for k, w in enumerate(words, start=1):
-        tokens.extend(_tokens([w] * (27720 // k)))
-    assert zipf_fit(build_lexicon(tokens), 1, 12) == pytest.approx(-1.0, abs=1e-9)
+        stream.extend([w] * (27720 // k))
+    assert zipf_fit(build_lexicon(_tokens(stream)), 1, 12) == pytest.approx(-1.0, abs=1e-9)
 
     # inverse-square counts, built directly
     entries = tuple(
@@ -141,6 +209,18 @@ def test_band_filter_letter_accounting():
     assert np.array_equal(total, np.bincount(text.codes, minlength=27)[:26])
 
 
+@given(surrogates, surrogates, st.integers(min_value=1, max_value=4))
+def test_band_filter_matches_the_per_token_loop(text, other, band_count):
+    # the other text's lexicon leaves some of this text's words unranked
+    for source in (text, other):
+        assume(len(tokenize(source)))
+        lex = build_lexicon(tokenize(source))
+        for band in partition_bands(lex, band_count, 1 / band_count).bands:
+            expected = _loop_band_filter(text, lex, band)
+            assert band_filter_text(text, lex, band) == expected
+            assert band_filter_text(text, lex, band, tokenize(text)) == expected
+
+
 def test_band_jsd_homogeneous_text_sits_at_fluctuation_level():
     text = _iid_letter_text(1_200_000, 31)
     lex = build_lexicon(tokenize(text))
@@ -197,6 +277,34 @@ def test_compare_halves_frequencies_and_ordering():
         comp.count_ratio("a", "b", 2)
     with pytest.raises(ValueError, match="no words"):
         compare_halves(normalize("..."))
+
+
+def test_half_must_be_one_or_two():
+    comp = compare_halves(normalize("a a b . c a a c"))
+    for half in (0, 3):
+        with pytest.raises(ValueError, match="half must be 1 or 2"):
+            comp.frequency("a", half)
+        with pytest.raises(ValueError, match="half must be 1 or 2"):
+            comp.count_ratio("a", "c", half)
+
+
+def test_compare_halves_needs_words_in_both_halves():
+    for raw in ("call", "  call", "whale  "):
+        with pytest.raises(ValueError, match="both halves need words"):
+            compare_halves(decode_symbols(raw.encode()))
+
+
+@given(surrogates)
+def test_compare_halves_matches_the_split_point_scan(text):
+    first, second, split = _scanned_halves(text)
+    if not first or not second:
+        with pytest.raises(ValueError, match="no words"):
+            compare_halves(text)
+        return
+    comp = compare_halves(text)
+    assert comp.split_at == split
+    assert comp.first == dict(first) and comp.second == dict(second)
+    assert comp.first_tokens == first.total() and comp.second_tokens == second.total()
 
 
 def test_moby_dick_zipf_exponent_near_minus_one(moby_text):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lettercorr import (
     SPACE,
     NormalizedText,
+    decode_symbols,
     default_k_grid,
     displacement,
     fit_exponent,
@@ -16,6 +19,11 @@ from lettercorr import (
     window_shuffle,
     word_shuffle,
 )
+
+
+def _words(text: NormalizedText) -> list[str]:
+    tokens = tokenize(text)
+    return [tokens.vocab[i] for i in tokens.types]
 
 
 def _histogram(text: NormalizedText) -> np.ndarray:
@@ -115,7 +123,19 @@ def test_letter_shuffle_preserves_histogram_exactly():
 def test_word_shuffle_preserves_token_multiset():
     text = normalize("the cat saw the other cat by the sea")
     shuffled = word_shuffle(text, 2)
-    assert sorted(t.text for t in tokenize(shuffled)) == sorted(t.text for t in tokenize(text))
+    assert sorted(_words(shuffled)) == sorted(_words(text))
+
+
+@given(
+    st.lists(st.sampled_from("abc   "), min_size=1, max_size=300).map("".join),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_word_shuffle_matches_the_word_list_shuffle(s, seed):
+    # the word list permutation the token table replaced, on texts with space runs
+    text = decode_symbols(s.encode())
+    words = s.split()
+    order = np.random.default_rng(seed).permutation(len(words))
+    assert word_shuffle(text, seed) == normalize(" ".join(words[i] for i in order))
 
 
 def test_two_regime_alphabet_and_placement():

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -78,26 +79,59 @@ def test_normalize_is_idempotent(data):
     assert normalize(once.render()) == once
 
 
+def _words(tokens) -> list[str]:
+    return [tokens.vocab[i] for i in tokens.types]
+
+
+def _regex_tokens(text: NormalizedText) -> list[tuple[str, int, int]]:
+    """The tokenizer the token table replaced: one regex match per word."""
+    return [
+        (m.group().decode("ascii"), m.start(), m.end() - m.start())
+        for m in re.finditer(rb"[a-z]+", text.to_bytes())
+    ]
+
+
+# surrogate-like texts: few letters, so words repeat, and runs of spaces
+surrogates = st.lists(st.sampled_from("abc   "), max_size=300).map(
+    lambda s: decode_symbols("".join(s).encode())
+)
+
+
 @given(st.text(max_size=300))
 def test_tokens_reassemble_the_trimmed_text(s):
     text = normalize(s)
     tokens = tokenize(text)
-    assert all(t.length >= 1 for t in tokens)
-    assert all(len(t.text) == t.length for t in tokens)
-    starts = [t.start for t in tokens]
+    assert np.all(tokens.lengths >= 1)
+    assert [len(w) for w in _words(tokens)] == tokens.lengths.tolist()
+    starts = tokens.starts.tolist()
     assert starts == sorted(starts) and len(set(starts)) == len(starts)
-    assert " ".join(t.text for t in tokens) == text.render().strip(" ")
+    assert " ".join(_words(tokens)) == text.render().strip(" ")
+
+
+@given(surrogates)
+def test_tokenize_matches_the_regex_tokenizer(text):
+    tokens = tokenize(text)
+    assert len(tokens) == len(_regex_tokens(text))
+    assert list(zip(_words(tokens), tokens.starts.tolist(), tokens.lengths.tolist())) == (
+        _regex_tokens(text)
+    )
+    assert list(tokens.vocab) == list(dict.fromkeys(_words(tokens)))
+    for column in (tokens.starts, tokens.lengths, tokens.types):
+        assert column.dtype == np.int64
 
 
 def test_tokenize_examples():
     tokens = tokenize(normalize("call me ishmael."))
-    assert [(t.text, t.start, t.length) for t in tokens] == [
+    assert list(zip(_words(tokens), tokens.starts.tolist(), tokens.lengths.tolist())) == [
         ("call", 0, 4),
         ("me", 5, 2),
         ("ishmael", 8, 7),
     ]
-    assert tokenize(normalize(" ")) == []
-    assert [t.text for t in tokenize(normalize("a a a"))] == ["a", "a", "a"]
+    assert len(tokenize(normalize(" "))) == 0
+    assert _words(tokenize(normalize(" "))) == []
+    a_a_a = tokenize(normalize("a a a"))
+    assert _words(a_a_a) == ["a", "a", "a"]
+    assert a_a_a.vocab == ("a",) and a_a_a.types.tolist() == [0, 0, 0]
 
 
 @given(st.binary(max_size=2000), st.integers(min_value=1, max_value=64))
