@@ -71,14 +71,15 @@ def _open_input(path: str):
         yield fh
 
 
-def _strip_header(data: bytes) -> bytes:
+def _header_size(data: bytes) -> int:
     # leading '#' comment lines are tool metadata, not text
-    while data.startswith(b"#"):
-        nl = data.find(b"\n")
+    end = 0
+    while data.startswith(b"#", end):
+        nl = data.find(b"\n", end)
         if nl < 0:
-            return b""
-        data = data[nl + 1 :]
-    return data
+            return len(data)
+        end = nl + 1
+    return end
 
 
 def _is_sequence_file(data: bytes) -> bool:
@@ -92,10 +93,12 @@ def _is_sequence_file(data: bytes) -> bool:
 def _load_text(path: str) -> NormalizedText:
     with _open_input(path) as fh:
         data = fh.read()
+    body = _header_size(data)
     if _is_sequence_file(data):
-        # re-normalizing would collapse the repeated spaces surrogates may contain
-        return decode_symbols(_strip_header(data))
-    return normalize(_strip_header(data))
+        # re-normalizing would collapse the repeated spaces surrogates may
+        # contain; a bad byte is reported at its offset in the file
+        return decode_symbols(data, start=body)
+    return normalize(data[body:])
 
 
 @contextmanager
@@ -199,7 +202,7 @@ def _parse_letters(values: list[str]) -> list[int]:
 def cmd_normalize(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     def body(out: IO[bytes]) -> None:
         with _open_input(args.input) as src:
-            while src.peek(1).startswith(b"#"):  # the same header lines _strip_header drops
+            while src.peek(1).startswith(b"#"):  # the same header lines _header_size skips
                 src.readline()
             normalize_stream(src, out, trim=args.trim)
 

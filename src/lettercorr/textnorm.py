@@ -29,6 +29,7 @@ _STREAM_TABLE = bytes(
     c + 32 if ord("A") <= c <= ord("Z") else (c if ord("a") <= c <= ord("z") else ord(" "))
     for c in range(256)
 )
+_SPACE_BYTE = ord(" ")
 
 
 def symbol_code(letter: int | str) -> int:
@@ -113,6 +114,14 @@ class Tokens:
         return self.starts.size
 
 
+def _collapse_spaces(symbols: np.ndarray, space: int) -> np.ndarray:
+    """Drop every space whose predecessor is also a space."""
+    is_space = symbols == space
+    keep = np.ones(symbols.size, dtype=bool)
+    keep[1:] = ~(is_space[1:] & is_space[:-1])
+    return symbols[keep]
+
+
 def normalize(raw: str | bytes, *, trim: bool = False) -> NormalizedText:
     """Convert raw text to the canonical 27-symbol sequence.
 
@@ -127,12 +136,7 @@ def normalize(raw: str | bytes, *, trim: bool = False) -> NormalizedText:
     else:
         data = bytes(raw)
     codes = _BYTE_TO_CODE[np.frombuffer(data, dtype=np.uint8)]
-    if codes.size:
-        is_space = codes == SPACE
-        keep = np.ones(codes.size, dtype=bool)
-        keep[1:] = ~(is_space[1:] & is_space[:-1])
-        codes = codes[keep]
-    text = NormalizedText(codes)
+    text = NormalizedText(_collapse_spaces(codes, SPACE))
     return text.trimmed() if trim else text
 
 
@@ -151,8 +155,8 @@ def normalize_stream(
     """
     written = 0
     offset = 0
-    pending = False  # an unemitted space run separates the next letters
-    started = False  # letters emitted so far (trim drops the leading run)
+    pending = b""  # a held-back trailing space, written once letters follow
+    started = False  # symbols written so far (trim drops the leading space)
     while True:
         try:
             chunk = src.read(chunk_size)
@@ -161,39 +165,36 @@ def normalize_stream(
         if not chunk:
             break
         offset += len(chunk)
-        parts = chunk.translate(_STREAM_TABLE).split(b" ")
-        for idx, part in enumerate(parts):
-            if idx > 0:
-                pending = True
-            if part:
-                if pending:
-                    if started or not trim:
-                        dst.write(b" ")
-                        written += 1
-                    pending = False
-                dst.write(part)
-                written += len(part)
-                started = True
+        # the held space leads this chunk, so runs spanning chunks collapse
+        symbols = np.frombuffer(pending + chunk.translate(_STREAM_TABLE), dtype=np.uint8)
+        out = _collapse_spaces(symbols, _SPACE_BYTE)
+        pending = b" " if out[-1] == _SPACE_BYTE else b""
+        lo = 1 if trim and not started and out[0] == _SPACE_BYTE else 0
+        hi = out.size - len(pending)
+        if hi > lo:
+            dst.write(out[lo:hi].tobytes())
+            written += hi - lo
+            started = True
     if pending and not trim:
-        dst.write(b" ")
+        dst.write(pending)
         written += 1
     return written
 
 
-def decode_symbols(data: bytes) -> NormalizedText:
-    """Strict inverse of ``NormalizedText.to_bytes``.
+def decode_symbols(data: bytes, *, start: int = 0) -> NormalizedText:
+    """Strict inverse of ``NormalizedText.to_bytes``, applied to ``data[start:]``.
 
     Unlike :func:`normalize` this performs no case folding and no space
     collapsing, so surrogate sequences with repeated spaces survive a
     round trip through a file. Bytes outside 'a'..'z' and ' ' are an
-    error.
+    error, reported at their offset in ``data``.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
+    buf = np.frombuffer(data, dtype=np.uint8)[start:]
     valid = ((buf >= ord("a")) & (buf <= ord("z"))) | (buf == ord(" "))
     if not np.all(valid):
         offset = int(np.argmin(valid))
         raise ValueError(
-            f"invalid symbol byte 0x{buf[offset]:02x} at offset {offset} "
+            f"invalid symbol byte 0x{buf[offset]:02x} at offset {start + offset} "
             "(expected 'a'..'z' or ' ')"
         )
     return NormalizedText(_BYTE_TO_CODE[buf])

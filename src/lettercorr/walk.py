@@ -16,6 +16,10 @@ import numpy as np
 
 from .textnorm import NormalizedText, symbol_code
 
+# uint64 arithmetic is exact modulo 2**64; a value known to lie in
+# [0, 2**64) is recovered from its residue by masking
+_WRAP_MASK = (1 << 64) - 1
+
 
 @dataclass(frozen=True, eq=False)
 class IndicatorSeries:
@@ -90,10 +94,15 @@ def indicator(text: NormalizedText, letter: int | str) -> IndicatorSeries:
 def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> DisplacementCurve:
     """Variance of length-k window sums over all starting positions.
 
-    For each window length k the sums over every start i in [0, N-k] are
-    taken from a single prefix-sum pass, then their variance is computed.
-    Window sums stay in 64-bit integers; only the moments are floating
-    point, so results match a direct double loop to rounding error.
+    With P the prefix sums of the bits, the m = N-k+1 window sums are
+    d_i = P[i+k] - P[i]. Their moments are exact integers: S1 = sum d_i
+    comes from running sums of P, and S2 = sum d_i**2 from running sums
+    of P**2 minus twice the cross term sum P[i] P[i+k], one dot product
+    per k. All of it runs in uint64, which is exact modulo 2**64; since
+    0 <= S2 <= rows * k**2, the windows are taken in chunks of at most
+    (2**64 - 1) // k**2 rows (one chunk unless m * k**2 reaches 2**64,
+    near N = 7.4e6 at k = N/4) and the chunks are added in Python ints.
+    F = (m S2 - S1**2) / m**2 is then one correctly rounded division.
     Window lengths are capped at N/4 to keep enough windows for a stable
     variance.
     """
@@ -111,19 +120,27 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
         bad = int(ks[np.argmax(ks > limit)])
         raise ValueError(f"window k={bad} exceeds N/4={limit} for a sequence of length {n}")
 
-    prefix = np.empty(n + 1, dtype=np.int64)
-    prefix[0] = 0
-    np.cumsum(bits, dtype=np.int64, out=prefix[1:])
+    prefix = np.zeros(n + 1, dtype=np.uint64)
+    np.cumsum(bits, dtype=np.uint64, out=prefix[1:])
+    # q1[j] and q2[j] sum prefix[i] and prefix[i]**2 over i < j
+    q1 = np.zeros(n + 2, dtype=np.uint64)
+    np.cumsum(prefix, out=q1[1:])
+    q2 = np.zeros(n + 2, dtype=np.uint64)
+    np.multiply(prefix, prefix, out=q2[1:])
+    np.cumsum(q2[1:], out=q2[1:])
 
     f = np.empty(ks.size, dtype=np.float64)
-    for j, k in enumerate(ks):
-        sums = prefix[k:] - prefix[:-k]
-        # shift by the integer mean before squaring: variance is unchanged
-        # and the float moments see only small centered values
-        shift = int(sums.sum(dtype=np.int64)) // sums.size
-        z = (sums - shift).astype(np.float64)
-        m1 = z.sum() / z.size
-        f[j] = max((z * z).sum() / z.size - m1 * m1, 0.0)
+    for j, k in enumerate(ks.tolist()):
+        m = n - k + 1
+        rows = _WRAP_MASK // (k * k)
+        s1 = s2 = 0
+        for a in range(0, m, rows):
+            b = min(a + rows, m)
+            s1 += (int(q1[b + k]) - int(q1[a + k]) - int(q1[b]) + int(q1[a])) & _WRAP_MASK
+            cross = int(np.dot(prefix[a + k : b + k], prefix[a:b]))
+            squares = int(q2[b + k]) - int(q2[a + k]) + int(q2[b]) - int(q2[a])
+            s2 += (squares - 2 * cross) & _WRAP_MASK
+        f[j] = (m * s2 - s1 * s1) / (m * m)
     return DisplacementCurve(k=ks, f=f, n=n)
 
 
@@ -172,12 +189,14 @@ def default_k_grid(n: int, points_per_decade: int = 20) -> np.ndarray:
 
 
 def average_displacement(curves: Sequence[DisplacementCurve]) -> DisplacementCurve:
-    """Equal-weight mean of per-letter displacement curves on one grid."""
+    """Equal-weight mean of per-letter displacement curves of one text."""
     if not curves:
         raise ValueError("no curves to average")
-    k0 = curves[0].k
+    k0, n0 = curves[0].k, curves[0].n
     for c in curves[1:]:
         if not np.array_equal(c.k, k0):
             raise ValueError("curves must share the same window grid")
+        if c.n != n0:
+            raise ValueError(f"curves must come from sequences of one length, not {n0} and {c.n}")
     f = np.mean(np.stack([c.f for c in curves]), axis=0)
-    return DisplacementCurve(k=k0.copy(), f=f, n=curves[0].n)
+    return DisplacementCurve(k=k0.copy(), f=f, n=n0)

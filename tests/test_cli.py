@@ -219,6 +219,21 @@ def test_halves_with_an_empty_half_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_byte_in_a_sequence_file_is_reported_at_its_file_offset(tmp_path, corpus_file, capsys):
+    seq = tmp_path / "seq.txt"
+    assert run(["shuffle", "--input", corpus_file, "--mode", "letter", "--seed", 1,
+                "--output", seq]) == 0
+    data = seq.read_bytes()
+    offset = len(data) - len(_body(seq)) + 3
+    seq.write_bytes(data[:offset] + b"X" + data[offset + 1 :])
+    out = tmp_path / "walk.tsv"
+    assert run(["walk", "--input", seq, "-l", "e", "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"invalid symbol byte 0x58 at offset {offset} " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_walk_reads_sequence_outputs(tmp_path):
     # synth -> walk pipeline: the '#' header must be skipped on read
     seq = tmp_path / "seq.txt"

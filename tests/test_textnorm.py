@@ -134,7 +134,12 @@ def test_tokenize_examples():
     assert a_a_a.vocab == ("a",) and a_a_a.types.tolist() == [0, 0, 0]
 
 
-@given(st.binary(max_size=2000), st.integers(min_value=1, max_value=64))
+# mostly separators, so chunk boundaries fall inside space runs and some
+# chunks hold nothing but spaces
+space_heavy = st.lists(st.sampled_from(b"ab  ,Z\xc3"), max_size=300).map(bytes)
+
+
+@given(st.one_of(st.binary(max_size=2000), space_heavy), st.integers(min_value=1, max_value=64))
 def test_stream_matches_in_memory(data, chunk_size):
     out = io.BytesIO()
     count = normalize_stream(io.BytesIO(data), out, chunk_size=chunk_size)
@@ -143,11 +148,13 @@ def test_stream_matches_in_memory(data, chunk_size):
     assert count == len(expected)
 
 
-@given(st.binary(max_size=800))
-def test_stream_trim_matches_in_memory(data):
+@given(st.one_of(st.binary(max_size=800), space_heavy), st.integers(min_value=1, max_value=64))
+def test_stream_trim_matches_in_memory(data, chunk_size):
     out = io.BytesIO()
-    normalize_stream(io.BytesIO(data), out, chunk_size=7, trim=True)
-    assert out.getvalue() == normalize(data, trim=True).to_bytes()
+    count = normalize_stream(io.BytesIO(data), out, chunk_size=chunk_size, trim=True)
+    expected = normalize(data, trim=True)
+    assert out.getvalue() == expected.to_bytes()
+    assert count == len(expected)
 
 
 class _FailingReader:
@@ -173,6 +180,9 @@ def test_decode_symbols_round_trips_repeated_spaces():
     assert decode_symbols(text.to_bytes()) == text
     with pytest.raises(ValueError, match="invalid symbol byte 0x41 at offset 2"):
         decode_symbols(b"abA z")
+    assert decode_symbols(b"# x\nab z", start=4) == decode_symbols(b"ab z")
+    with pytest.raises(ValueError, match="invalid symbol byte 0x41 at offset 6"):
+        decode_symbols(b"# x\nabA z", start=4)
 
 
 def test_trimmed_strips_spaces_only_at_ends():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from lettercorr import (
@@ -29,6 +31,11 @@ def centered_profile_displacement(bits: np.ndarray, ks) -> np.ndarray:
 
 def _series(bits) -> IndicatorSeries:
     return IndicatorSeries(bits=np.asarray(bits, dtype=np.uint8), source_letter=0)
+
+
+def exact_variance(s1: int, s2: int, m: int) -> float:
+    """Variance of m integers from their exact sum and sum of squares."""
+    return (m * s2 - s1 * s1) / (m * m)
 
 
 def test_indicator_examples():
@@ -76,6 +83,43 @@ def test_prefix_sum_matches_direct_oracle():
         got = displacement(_series(bits), ks).f
         want = direct_displacement(bits, ks)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+bit_arrays = st.one_of(
+    st.lists(st.integers(0, 1), min_size=4, max_size=400),
+    st.integers(4, 400).map(lambda n: [0] * n),
+    st.integers(4, 400).map(lambda n: [1] * n),
+)
+
+
+@given(bit_arrays, st.data())
+def test_displacement_is_the_exact_window_variance(bits, data):
+    n = len(bits)
+    ks = sorted(data.draw(st.sets(st.integers(1, n // 4), max_size=5)) | {n // 4})
+    got = displacement(_series(bits), ks).f
+    for k, f in zip(ks, got.tolist()):
+        sums = [sum(bits[i : i + k]) for i in range(n - k + 1)]
+        assert f == exact_variance(sum(sums), sum(d * d for d in sums), len(sums))
+
+
+def test_windows_past_the_uint64_bound_are_summed_in_chunks():
+    # at N = 8e6 and k = N/4 the window sums' sum of squares passes 2**64,
+    # so one uint64 dot product cannot hold it; the reference takes the
+    # moments from a histogram of the window sums in Python integers
+    n = 8_000_000
+    k = n // 4
+    bits = (np.random.default_rng(8).integers(0, 20, size=n, dtype=np.uint8) != 0).astype(np.uint8)
+    prefix = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    counts = np.bincount(prefix[k:] - prefix[:-k])
+    del prefix
+    values = np.flatnonzero(counts).tolist()
+    weights = counts[values].tolist()
+    s1 = sum(c * v for v, c in zip(values, weights))
+    s2 = sum(c * v * v for v, c in zip(values, weights))
+    assert s2 >= 1 << 64
+    got = displacement(_series(bits), [1, k]).f
+    assert got[1] == exact_variance(s1, s2, n - k + 1)
+    assert got[0] == pytest.approx(0.95 * 0.05, rel=1e-2)
 
 
 def test_variance_form_matches_centered_profile_form():
@@ -186,3 +230,13 @@ def test_average_displacement():
     other = DisplacementCurve(k=np.array([1, 3, 4]), f=np.ones(3), n=100)
     with pytest.raises(ValueError, match="same window grid"):
         average_displacement([a, other])
+
+
+def test_average_displacement_rejects_curves_of_different_lengths():
+    # texts of 401 and 402 symbols share a window grid, not a length
+    grid = default_k_grid(402)
+    assert np.array_equal(grid, default_k_grid(401))
+    longer = displacement(_series([0, 1] * 201), grid)
+    shorter = displacement(_series([0, 1] * 200 + [0]), grid)
+    with pytest.raises(ValueError, match="one length, not 402 and 401"):
+        average_displacement([longer, shorter])
