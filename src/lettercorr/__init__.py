@@ -14,7 +14,6 @@ from .divergence import (
     fluctuation_level,
     jsd,
     jsd_profile,
-    segment_distribution,
 )
 from .lexicon import (
     Band,
@@ -100,7 +99,6 @@ __all__ = [
     "normalize",
     "normalize_stream",
     "partition_bands",
-    "segment_distribution",
     "symbol_code",
     "symbol_name",
     "tokenize",

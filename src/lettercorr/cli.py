@@ -283,10 +283,9 @@ def cmd_synth(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
 
 def cmd_jsd_profile(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
-    if args.step is None:
-        args.step = max(args.segment_length // 10, 1)
     include_space = args.alphabet == "with-space"
     profile = jsd_profile(text, args.segment_length, args.step, include_space=include_space)
+    args.step = profile.step
 
     params: dict[str, object] = {"input": args.input, "n": len(text)}
     if len(profile):

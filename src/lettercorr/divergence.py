@@ -11,6 +11,7 @@ symbol composition really changed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,22 +49,27 @@ class SymbolDistribution:
             raise ValueError("empty distribution has no frequencies")
         return self.counts / total
 
-    @property
-    def support(self) -> int:
-        """Symbols with at least one observation."""
-        return int(np.count_nonzero(self.counts))
 
+def _row_entropy(freqs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row of a frequency matrix.
 
-def _entropy_of(freqs: np.ndarray) -> float:
-    p = freqs[freqs > 0]
-    return float(-(p * np.log(p)).sum())
+    Rows are grouped by support m and summed as compressed (rows x m)
+    matrices, so each row adds its nonzero terms exactly as a 1-d sum of
+    them does; zero padding would change numpy's pairwise summation order.
+    """
+    nonzero = freqs > 0
+    support = np.count_nonzero(nonzero, axis=1)
+    out = np.empty(len(freqs))
+    for m in np.unique(support):
+        rows = support == m
+        p = freqs[rows][nonzero[rows]].reshape(-1, m)
+        out[rows] = -(p * np.log(p)).sum(axis=1)
+    return out
 
 
 def entropy(dist: SymbolDistribution) -> float:
     """Shannon entropy in nats; zero-probability outcomes contribute 0."""
-    if dist.total == 0:
-        raise ValueError("empty distribution")
-    return _entropy_of(dist.freqs)
+    return float(_row_entropy(dist.freqs[None, :])[0])
 
 
 def jsd(p: SymbolDistribution, q: SymbolDistribution) -> float:
@@ -75,10 +81,9 @@ def jsd(p: SymbolDistribution, q: SymbolDistribution) -> float:
     """
     if p.n_symbols != q.n_symbols:
         raise ValueError(f"alphabet mismatch: {p.n_symbols} vs {q.n_symbols} symbols")
-    fp = p.freqs
-    fq = q.freqs
-    d = _entropy_of((fp + fq) / 2.0) - 0.5 * (_entropy_of(fp) + _entropy_of(fq))
-    return max(d, 0.0)
+    if p.total == 0 or q.total == 0:
+        raise ValueError("empty distribution has no frequencies")
+    return float(_pair_stats(p.counts[None, :], q.counts[None, :])[0][0])
 
 
 def fluctuation_level(n_symbols: int, trials: int, trials2: int | None = None) -> float:
@@ -98,25 +103,47 @@ def fluctuation_level(n_symbols: int, trials: int, trials2: int | None = None) -
     return (n_symbols - 1) / 8.0 * (1.0 / trials + 1.0 / trials2)
 
 
-def segment_distribution(
-    text: NormalizedText, start: int, length: int, *, include_space: bool = True
-) -> SymbolDistribution:
-    """Symbol counts in ``text[start : start + length]``.
-
-    With ``include_space=False`` the space symbol is dropped from both the
-    counts and the trial total.
+def _pair_stats(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row of two count matrices with positive totals: the divergence,
+    the unequal-N fluctuation level for the pooled support (0 for a single
+    pooled symbol), the pooled support and the harmonic-mean trial count.
     """
-    if length <= 0:
-        raise ValueError("segment length must be positive")
-    if start < 0 or start + length > len(text):
-        raise ValueError(
-            f"segment [{start}, {start + length}) outside text of length {len(text)}"
-        )
-    counts = np.bincount(text.codes[start : start + length], minlength=ALPHABET_SIZE)
-    counts = counts.astype(np.int64)
-    if not include_space:
-        counts = counts[:SPACE]
-    return SymbolDistribution(counts)
+    n_left, n_right = left.sum(axis=1), right.sum(axis=1)
+    fp, fq = left / n_left[:, None], right / n_right[:, None]
+    raw = _row_entropy((fp + fq) / 2.0) - 0.5 * (_row_entropy(fp) + _row_entropy(fq))
+    support = np.count_nonzero(left + right, axis=1)
+    inverse = 1.0 / n_left + 1.0 / n_right
+    return np.maximum(raw, 0.0), (support - 1) / 8.0 * inverse, support, 2.0 / inverse
+
+
+# pairs per chunk, and symbols their starts may span: bounds a chunk's arrays
+_CHUNK_PAIRS, _CHUNK_SPAN = 1024, 1 << 18
+
+
+def _segment_counts(codes: np.ndarray, length: int, starts: range, n_symbols: int) -> Iterator:
+    """Symbol counts of the segment pairs ``[s, s + length)``, ``[s + length,
+    s + 2 * length)`` for s in ``starts``, a chunk of pairs at a time.
+
+    A chunk's span is cut at every segment edge; the cumulative sum of one
+    bincount over the blocks between edges gives each segment's counts as
+    a difference of two rows. Yields the left starts and ``(pairs x
+    n_symbols)`` left and right counts of the pairs with no empty segment.
+    """
+    size = max(1, min(_CHUNK_PAIRS, _CHUNK_SPAN // starts.step))
+    for i in range(0, len(starts), size):
+        chunk = starts[i : i + size]
+        lefts = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
+        bounds = lefts + np.arange(3)[:, None] * length
+        edges = np.unique(bounds)
+        # block j counts into row j + 1, so cum[k] counts the span before edges[k]
+        index = np.repeat(np.arange(1, edges.size) * ALPHABET_SIZE, np.diff(edges))
+        index += codes[edges[0] : edges[-1]]
+        hist = np.bincount(index, minlength=edges.size * ALPHABET_SIZE)
+        cum = np.cumsum(hist.reshape(-1, ALPHABET_SIZE)[:, :n_symbols], axis=0)
+        start, mid, end = np.searchsorted(edges, bounds)
+        left, right = cum[mid] - cum[start], cum[end] - cum[mid]
+        counted = left.any(axis=1) & right.any(axis=1)
+        yield lefts[counted], left[counted], right[counted]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +164,7 @@ class JsdProfile:
     support: np.ndarray
     trials: np.ndarray
     segment_length: int
+    step: int
     include_space: bool
 
     def __len__(self) -> int:
@@ -169,40 +197,21 @@ def jsd_profile(
     if step < 1:
         raise ValueError("step must be at least 1")
 
-    positions: list[int] = []
-    raw: list[float] = []
-    fluct: list[float] = []
-    normalized: list[float] = []
-    support: list[int] = []
-    trials: list[float] = []
-    for b in range(length, n - length + 1, step):
-        left = segment_distribution(text, b - length, length, include_space=include_space)
-        right = segment_distribution(text, b, length, include_space=include_space)
-        n_left = left.total
-        n_right = right.total
-        if n_left == 0 or n_right == 0:
-            continue
-        pooled = int(np.count_nonzero(left.counts + right.counts))
-        d = jsd(left, right)
-        if pooled < 2:
-            level = 0.0
-            norm = 0.0
-        else:
-            level = fluctuation_level(pooled, n_left, n_right)
-            norm = d / level
-        positions.append(b)
-        raw.append(d)
-        fluct.append(level)
-        normalized.append(norm)
-        support.append(pooled)
-        trials.append(2.0 / (1.0 / n_left + 1.0 / n_right))
+    starts = range(0, n - 2 * length + 1, step)
+    n_symbols = ALPHABET_SIZE if include_space else SPACE
+    chunks = [
+        (lefts + length, *_pair_stats(left, right))
+        for lefts, left, right in _segment_counts(text.codes, length, starts, n_symbols)
+    ]
+    positions, raw, fluct, support, trials = (np.concatenate(c) for c in zip(*chunks))
     return JsdProfile(
-        positions=np.asarray(positions, dtype=np.int64),
-        raw=np.asarray(raw, dtype=np.float64),
-        fluct=np.asarray(fluct, dtype=np.float64),
-        normalized=np.asarray(normalized, dtype=np.float64),
-        support=np.asarray(support, dtype=np.int64),
-        trials=np.asarray(trials, dtype=np.float64),
+        positions=positions,
+        raw=raw,
+        fluct=fluct,
+        normalized=np.divide(raw, fluct, out=np.zeros_like(raw), where=support > 1),
+        support=support,
+        trials=trials,
         segment_length=length,
+        step=step,
         include_space=include_space,
     )

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import fluctuation_level, jsd, segment_distribution
+from .divergence import _pair_stats, _segment_counts
 from .textnorm import SPACE, NormalizedText, Tokens, tokenize
 
 
@@ -197,9 +197,10 @@ def band_filter_text(
     in_band = {e.word for e in lex.entries[band.rank_lo - 1 : band.rank_hi]}
     keep = np.array([w in in_band for w in tokens.vocab], dtype=bool)
     # tokens tile the letters in order, so token masks repeat into letter masks
-    letters = np.flatnonzero(text.codes != SPACE)
     out = text.codes.copy()
-    out[letters[np.repeat(~keep[tokens.types], tokens.lengths)]] = SPACE
+    blank = out != SPACE
+    np.place(blank, blank, np.repeat(~keep[tokens.types], tokens.lengths))
+    np.putmask(out, blank, SPACE)
     return NormalizedText(out)
 
 
@@ -228,26 +229,18 @@ def band_jsd(
     tokens = tokenize(text)
     entries = []
     for band in partition.bands:
-        filtered = band_filter_text(text, lex, band, tokens)
-        norms: list[float] = []
-        effs: list[float] = []
-        for s in starts:
-            left = segment_distribution(filtered, s, length, include_space=False)
-            right = segment_distribution(filtered, s + length, length, include_space=False)
-            if left.total == 0 or right.total == 0:
-                continue
-            pooled = int(np.count_nonzero(left.counts + right.counts))
-            if pooled < 2:
-                continue
-            level = fluctuation_level(pooled, left.total, right.total)
-            norms.append(jsd(left, right) / level)
-            effs.append(2.0 / (1.0 / left.total + 1.0 / right.total))
+        codes = band_filter_text(text, lex, band, tokens).codes
+        pairs = _segment_counts(codes, length, starts, SPACE)
+        chunks = [_pair_stats(left, right) for _, left, right in pairs]
+        raw, level, support, trials = (np.concatenate(c) for c in zip(*chunks))
+        scored = support > 1
+        norm = raw[scored] / level[scored]
         entries.append(
             BandJsdEntry(
                 band=band,
-                mean_normalized=float(np.mean(norms)) if norms else math.nan,
-                pair_count=len(norms),
-                mean_trials=float(np.mean(effs)) if effs else math.nan,
+                mean_normalized=float(np.mean(norm)) if norm.size else math.nan,
+                pair_count=norm.size,
+                mean_trials=float(np.mean(trials[scored])) if norm.size else math.nan,
             )
         )
     return BandJsdReport(entries=tuple(entries), segment_length=length)

@@ -16,8 +16,15 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from lettercorr import NormalizedText, normalize
+
+# no per-example deadline: the reference loops the properties compare
+# against are slow, and on a shared host their speed drifts by a third or
+# more from one minute to the next, so any deadline would flake
+settings.register_profile("lettercorr", deadline=None)
+settings.load_profile("lettercorr")
 
 CORPORA_ENV = "LETTERCORR_CORPORA"
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,19 +9,83 @@ from hypothesis import strategies as st
 
 from lettercorr import (
     SPACE,
+    JsdProfile,
     NormalizedText,
     SymbolDistribution,
+    divergence,
     entropy,
     fluctuation_level,
     jsd,
     jsd_profile,
     normalize,
-    segment_distribution,
 )
+
+PROFILE_ARRAYS = ("positions", "raw", "fluct", "normalized", "support", "trials")
 
 
 def _dist(counts) -> SymbolDistribution:
     return SymbolDistribution(np.asarray(counts, dtype=np.int64))
+
+
+# The per-pair paths the segment-pair kernel replaced, kept as references.
+
+
+def _entropy_1d(freqs: np.ndarray) -> float:
+    p = freqs[freqs > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+def _jsd_1d(p: SymbolDistribution, q: SymbolDistribution) -> float:
+    fp, fq = p.freqs, q.freqs
+    d = _entropy_1d((fp + fq) / 2.0) - 0.5 * (_entropy_1d(fp) + _entropy_1d(fq))
+    return max(d, 0.0)
+
+
+def _loop_profile(text: NormalizedText, length: int, step: int, include_space: bool):
+    """One pair of bincounts per boundary, as the profile was first computed."""
+    n_symbols = 27 if include_space else SPACE
+    rows = []
+    for b in range(length, len(text) - length + 1, step):
+        left = _dist(np.bincount(text.codes[b - length : b], minlength=27)[:n_symbols])
+        right = _dist(np.bincount(text.codes[b : b + length], minlength=27)[:n_symbols])
+        if left.total == 0 or right.total == 0:
+            continue
+        pooled = int(np.count_nonzero(left.counts + right.counts))
+        d = jsd(left, right)
+        if pooled < 2:
+            level = norm = 0.0
+        else:
+            level = fluctuation_level(pooled, left.total, right.total)
+            norm = d / level
+        trials = 2.0 / (1.0 / left.total + 1.0 / right.total)
+        rows.append((b, d, level, norm, pooled, trials))
+    columns = list(zip(*rows)) or [()] * 6
+    dtypes = (np.int64, np.float64, np.float64, np.float64, np.int64, np.float64)
+    return [np.asarray(c, dtype=t) for c, t in zip(columns, dtypes)]
+
+
+def _assert_profile_is(profile: JsdProfile, expected) -> None:
+    for name, want in zip(PROFILE_ARRAYS, expected):
+        got = getattr(profile, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _runs(alphabet, max_run: int):
+    """Texts as runs of repeated symbols drawn from ``alphabet``."""
+    run = st.tuples(st.sampled_from(alphabet), st.integers(1, max_run))
+    return st.lists(run, min_size=2, max_size=120).map(
+        lambda runs: NormalizedText(np.repeat([c for c, _ in runs], [k for _, k in runs]))
+    )
+
+
+profile_texts = st.one_of(
+    _runs(range(27), 3),  # all 27 symbols, short space runs
+    st.lists(st.integers(0, 26), min_size=1, max_size=3, unique=True).flatmap(
+        lambda alphabet: _runs(alphabet, 4)  # 1-3 symbols: flat and near-flat levels
+    ),
+    _runs([0, 1, 2, 3, SPACE, SPACE], 12),  # long space runs: all-space segments
+)
 
 
 counts_pairs = st.integers(min_value=2, max_value=27).flatmap(
@@ -83,24 +149,67 @@ def test_fluctuation_level_matches_monte_carlo(n_symbols, trials):
     assert abs(mean - predicted) <= 0.15 * predicted
 
 
-def test_segment_distribution_examples():
-    text = normalize("aab.")  # 'aab '
-    letters = segment_distribution(text, 0, 4, include_space=False)
-    assert letters.counts[0] == 2 and letters.counts[1] == 1
-    assert letters.total == 3
-    with_space = segment_distribution(text, 0, 4)
-    assert with_space.total == 4
-    assert with_space.counts[SPACE] == 1
-    with pytest.raises(ValueError, match="positive"):
-        segment_distribution(text, 0, 0)
-    with pytest.raises(ValueError, match="outside text"):
-        segment_distribution(text, 2, 10)
+# 27 counts with many zeros, where a zero-padded row sum would add in another order
+sparse_counts = st.lists(
+    st.one_of(st.just(0), st.integers(1, 300)), min_size=27, max_size=27
+).filter(any)
+
+
+@given(st.one_of(counts_pairs, st.tuples(sparse_counts, sparse_counts)))
+def test_jsd_and_entropy_match_the_one_dimensional_sums(pq):
+    p, q = _dist(pq[0]), _dist(pq[1])
+    assert entropy(p).hex() == _entropy_1d(p.freqs).hex()
+    assert jsd(p, q).hex() == _jsd_1d(p, q).hex()
+
+
+@given(
+    profile_texts,
+    st.data(),
+    st.booleans(),
+    st.sampled_from([1, 2, 3, 5, divergence._CHUNK_PAIRS]),
+    st.sampled_from([1, 20, divergence._CHUNK_SPAN]),
+)
+def test_profile_matches_the_per_boundary_loop(text, data, include_space, pairs, span):
+    length = data.draw(st.integers(1, len(text) // 2), label="length")
+    # steps that divide L, that do not, and that exceed it
+    step = data.draw(st.integers(1, 2 * length + 3), label="step")
+    with mock.patch.multiple(divergence, _CHUNK_PAIRS=pairs, _CHUNK_SPAN=span):
+        profile = jsd_profile(text, length, step, include_space=include_space)
+    _assert_profile_is(profile, _loop_profile(text, length, step, include_space))
+    assert profile.step == step
+
+
+# chunks bounded by their pair count, and (step 300) by the symbols they span
+@pytest.mark.parametrize("length,step", [(7, 1), (40, 3), (5, 6), (5, 300)])
+def test_profile_spanning_several_chunks_matches_the_loop(length, step):
+    chunk = min(divergence._CHUNK_PAIRS, divergence._CHUNK_SPAN // step)
+    rng = np.random.default_rng(length)
+    codes = rng.integers(0, 27, size=2 * chunk * step + 2 * length + step)
+    text = NormalizedText(codes.astype(np.uint8))
+    profile = jsd_profile(text, length, step)
+    assert len(profile) > 2 * chunk
+    _assert_profile_is(profile, _loop_profile(text, length, step, True))
+
+
+def test_profile_memory_stays_near_its_output():
+    rng = np.random.default_rng(3)
+    text = NormalizedText(rng.integers(0, 27, size=50_000).astype(np.uint8))
+    jsd_profile(text, 50, 1)
+    tracemalloc.start()
+    try:
+        profile = jsd_profile(text, 50, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(getattr(profile, name).nbytes for name in PROFILE_ARRAYS)
+    assert peak <= 3 * output
 
 
 def test_profile_of_constant_text_is_zero():
     text = NormalizedText(np.zeros(4000, dtype=np.uint8))
     profile = jsd_profile(text, 500)
     assert len(profile) > 0
+    assert profile.step == 50  # the default: a tenth of the segment length
     assert np.all(profile.raw == 0.0)
     assert np.all(profile.normalized == 0.0)
 

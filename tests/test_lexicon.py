@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lettercorr import (
     SPACE,
     NormalizedText,
+    SymbolDistribution,
     Tokens,
     band_filter_text,
     band_jsd,
@@ -17,12 +19,15 @@ from lettercorr import (
     compare_halves,
     content_word_variance_model,
     decode_symbols,
+    divergence,
+    fluctuation_level,
+    jsd,
     normalize,
     partition_bands,
     tokenize,
     zipf_fit,
 )
-from lettercorr.lexicon import FrequencyLexicon, LexiconEntry
+from lettercorr.lexicon import BandJsdEntry, FrequencyLexicon, LexiconEntry
 
 
 def _tokens(words) -> Tokens:
@@ -83,6 +88,35 @@ def _scanned_halves(text: NormalizedText) -> tuple[Counter, Counter, int]:
     first = Counter(w for w, start, _ in tokens if start < split)
     second = Counter(w for w, start, _ in tokens if start >= split)
     return first, second, split
+
+
+def _loop_band_jsd(text: NormalizedText, lex, partition, length: int) -> list[BandJsdEntry]:
+    """One pair of bincounts per segment pair and band, as band_jsd was first computed."""
+    entries = []
+    for band in partition.bands:
+        codes = band_filter_text(text, lex, band).codes
+        norms, effs = [], []
+        for s in range(0, len(text) - 2 * length + 1, 2 * length):
+            left = SymbolDistribution(np.bincount(codes[s : s + length], minlength=27)[:SPACE])
+            right = SymbolDistribution(
+                np.bincount(codes[s + length : s + 2 * length], minlength=27)[:SPACE]
+            )
+            if left.total == 0 or right.total == 0:
+                continue
+            pooled = int(np.count_nonzero(left.counts + right.counts))
+            if pooled < 2:
+                continue
+            norms.append(jsd(left, right) / fluctuation_level(pooled, left.total, right.total))
+            effs.append(2.0 / (1.0 / left.total + 1.0 / right.total))
+        entries.append(
+            BandJsdEntry(
+                band=band,
+                mean_normalized=float(np.mean(norms)) if norms else math.nan,
+                pair_count=len(norms),
+                mean_trials=float(np.mean(effs)) if effs else math.nan,
+            )
+        )
+    return entries
 
 
 def _iid_letter_text(n: int, seed: int) -> NormalizedText:
@@ -232,6 +266,40 @@ def test_band_jsd_homogeneous_text_sits_at_fluctuation_level():
         assert 0.6 <= entry.mean_normalized <= 1.4
     peak = report.peak()
     assert peak in report.entries
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# texts of random words over all 26 letters, with runs of spaces
+word_texts = st.lists(st.sampled_from("abcdefghijklmnopqrstuvwxyz    "), max_size=600).map(
+    lambda s: decode_symbols("".join(s).encode())
+)
+
+
+@given(
+    st.one_of(surrogates, word_texts),
+    st.data(),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([1, 2, 3, divergence._CHUNK_PAIRS]),
+    st.sampled_from([1, 20, divergence._CHUNK_SPAN]),
+)
+def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span):
+    assume(len(text) >= 2 and len(tokenize(text)))
+    lex = build_lexicon(tokenize(text))
+    partition = partition_bands(lex, band_count, 1 / band_count)
+    length = data.draw(st.integers(1, len(text) // 2), label="length")
+    with mock.patch.multiple(divergence, _CHUNK_PAIRS=pairs, _CHUNK_SPAN=span):
+        report = band_jsd(text, lex, partition, length)
+    expected = _loop_band_jsd(text, lex, partition, length)
+    assert len(report.entries) == len(expected)
+    for got, want in zip(report.entries, expected):
+        assert got.band == want.band
+        assert got.pair_count == want.pair_count
+        # bitwise, NaN included
+        assert _bits(got.mean_normalized) == _bits(want.mean_normalized)
+        assert _bits(got.mean_trials) == _bits(want.mean_trials)
 
 
 def test_band_jsd_needs_one_pair():
