@@ -1,0 +1,82 @@
+"""Record one point of the bench trajectory, from the root of a checkout:
+
+    python3 benchmarks/record.py BENCH_<n>.json
+
+Runs the benchmark (``python3 perfbench/run.py``) unchanged, twice per
+workload that BENCHMARK.json declares, each for its ``run_seconds`` and
+with input seed ``SEED``: once with ``--trace 1`` for the per-layer
+metrics, once with ``--trace 0`` for the end-to-end ones (run time,
+throughput, peak RSS, set-up time), which a traced run does not report.
+The output holds, per workload, the traced run's final JSON line
+(per-layer metrics, operations attempted and failed), its ``env:`` line
+and its other summary lines, and under ``end_to_end`` the same for the
+untraced run; plus the git revision the tree was checked out at and the
+paths that differed from it. A benchmark run that exits non-zero or
+prints no final line is an error, and no file is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# one input seed for every point, so that points compare like for like
+SEED = 0
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout
+
+
+def run_benchmark(command: list[str], name: str, seconds: float, trace: int) -> dict[str, object]:
+    argv = [
+        *command, "--workload", name, "--seed", str(SEED), "--seconds", str(seconds),
+        "--trace", str(trace),
+    ]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    sys.stderr.write(proc.stderr)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"error: {' '.join(argv)} exited {proc.returncode}")
+    env = next(json.loads(ln[len("env: "):]) for ln in lines if ln.startswith("env: "))
+    return {"env": env, "summary": lines[:-1], **json.loads(lines[-1])}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("output", type=Path, help="file to write, e.g. BENCH_6.json")
+    args = parser.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    command, seconds = spec["command"], spec["run_seconds"]
+    output = args.output.resolve()
+    changed = [
+        ln[3:] for ln in git("status", "--porcelain", "--untracked-files=all").splitlines()
+        if (ROOT / ln[3:]).resolve() != output
+    ]
+    record = {
+        "revision": git("rev-parse", "HEAD").strip(),
+        "changed_paths": changed,
+        "command": command,
+        "seed": SEED,
+        "run_seconds": seconds,
+        "workloads": {
+            w["name"]: {
+                **run_benchmark(command, w["name"], seconds, 1),
+                "end_to_end": run_benchmark(command, w["name"], seconds, 0),
+            }
+            for w in spec["workloads"]
+        },
+    }
+    output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

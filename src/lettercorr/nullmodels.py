@@ -37,10 +37,16 @@ def window_shuffle(text: NormalizedText, window: int, seed: int) -> NormalizedTe
     if window < 2:
         raise ValueError("window must be at least 2")
     rng = _rng(seed)
-    pos = np.arange(n, dtype=np.int64)
-    lo = np.maximum(pos - window // 2 + 1, 0)
-    hi = np.minimum(pos + (window + 1) // 2, n)
+    start = 1 - window // 2
+    lo = np.arange(start, start + n, dtype=np.int64)
+    np.maximum(lo, 0, out=lo)
+    stop = (window + 1) // 2
+    hi = np.arange(stop, stop + n, dtype=np.int64)
+    np.minimum(hi, n, out=hi)
     picks = rng.integers(lo, hi)
+    # the draw holds lo, hi and picks, 24 bytes a symbol; freeing the
+    # bounds keeps the gather's extra byte a symbol below that peak
+    del lo, hi
     return NormalizedText(text.codes[picks])
 
 

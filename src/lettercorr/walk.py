@@ -19,6 +19,16 @@ from .textnorm import NormalizedText, symbol_code
 # uint64 arithmetic is exact modulo 2**64; a value known to lie in
 # [0, 2**64) is recovered from its residue by masking
 _WRAP_MASK = (1 << 64) - 1
+# every integer up to 2**53 is a float64, so a float64 sum of
+# non-negative integers is exact while the total stays below it
+_FLOAT_EXACT = (1 << 53) - 1
+# below this many rows per chunk the per-chunk overhead of the float64
+# dot outweighs its speed over the uint64 one. The value rests on
+# synthetic Bernoulli sequences only, timed on a 2-vCPU host (float64
+# slower at 9k rows and level at 12-15k for N = 2e6, faster at 10.6k
+# rows for N = 8e6); no measured text has a symbol frequent enough to
+# fall below it, and BLAS threading may move it
+_FLOAT_MIN_ROWS = 12_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +108,25 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
     d_i = P[i+k] - P[i]. Their moments are exact integers: S1 = sum d_i
     comes from running sums of P, and S2 = sum d_i**2 from running sums
     of P**2 minus twice the cross term sum P[i] P[i+k], one dot product
-    per k. All of it runs in uint64, which is exact modulo 2**64; since
-    0 <= S2 <= rows * k**2, the windows are taken in chunks of at most
-    (2**64 - 1) // k**2 rows (one chunk unless m * k**2 reaches 2**64,
-    near N = 7.4e6 at k = N/4) and the chunks are added in Python ints.
-    F = (m S2 - S1**2) / m**2 is then one correctly rounded division.
-    Window lengths are capped at N/4 to keep enough windows for a stable
-    variance.
+    per k. The running sums are uint64, which is exact modulo 2**64;
+    since 0 <= S2 <= rows * k**2, the windows are taken in chunks of at
+    most (2**64 - 1) // k**2 rows (one chunk unless m * k**2 reaches
+    2**64, near N = 7.4e6 at k = N/4) and the chunks are added in Python
+    ints. F = (m S2 - S1**2) / m**2 is then one correctly rounded
+    division.
+
+    The cross term is a float64 dot (BLAS) when that is exact. Every P
+    is at most n1, the count of ones, so every product is at most n1**2,
+    and in any summation order (blocked, threaded or fused) every
+    partial sum of a chunk of rows is a sum of non-negative integer
+    products, at most rows * n1**2. Chunks are therefore also capped at
+    (2**53 - 1) // n1**2 rows, which keeps every partial sum an exactly
+    representable integer, so the dot is exact. When that cap falls below
+    ``_FLOAT_MIN_ROWS`` (n1 above about 866,000 ones) the prefix stays
+    uint64 and the dot is the exact modular one; that switch is a speed
+    choice, tuned on synthetic sequences only, since either dot is
+    exact. Window lengths are capped at N/4 to keep enough windows for
+    a stable variance.
     """
     bits = series.bits
     n = bits.size
@@ -120,19 +142,27 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
         bad = int(ks[np.argmax(ks > limit)])
         raise ValueError(f"window k={bad} exceeds N/4={limit} for a sequence of length {n}")
 
-    prefix = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(bits, dtype=np.uint64, out=prefix[1:])
-    # q1[j] and q2[j] sum prefix[i] and prefix[i]**2 over i < j
+    # a float64 dot is exact over at most dot_rows rows; the uint64 dot
+    # is exact modulo 2**64 over any number
+    ones = max(int(np.count_nonzero(bits)), 1)
+    dot_rows = _FLOAT_EXACT // (ones * ones)
+    dtype = np.float64
+    if dot_rows < _FLOAT_MIN_ROWS:
+        dtype, dot_rows = np.uint64, n
+    prefix = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(bits, dtype=dtype, out=prefix[1:])
+    # q1[j] and q2[j] sum prefix[i] and prefix[i]**2 over i < j; a float
+    # prefix and its squares are exact integers, so the casts are too
     q1 = np.zeros(n + 2, dtype=np.uint64)
-    np.cumsum(prefix, out=q1[1:])
+    np.cumsum(prefix, dtype=np.uint64, out=q1[1:])
     q2 = np.zeros(n + 2, dtype=np.uint64)
-    np.multiply(prefix, prefix, out=q2[1:])
+    np.multiply(prefix, prefix, out=q2[1:], casting="unsafe")
     np.cumsum(q2[1:], out=q2[1:])
 
     f = np.empty(ks.size, dtype=np.float64)
     for j, k in enumerate(ks.tolist()):
         m = n - k + 1
-        rows = _WRAP_MASK // (k * k)
+        rows = min(_WRAP_MASK // (k * k), dot_rows)
         s1 = s2 = 0
         for a in range(0, m, rows):
             b = min(a + rows, m)

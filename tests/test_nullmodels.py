@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -78,6 +80,37 @@ def test_window_shuffle_validation():
         window_shuffle(text, 1, 0)
     with pytest.raises(ValueError, match="empty text"):
         window_shuffle(normalize(""), 10, 0)
+
+
+@given(
+    st.lists(st.integers(0, 26), min_size=1, max_size=300),
+    st.data(),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_window_shuffle_matches_the_position_formula(codes, data, seed):
+    # the bounds built from one position array, as before the in-place clamps
+    n = len(codes)
+    window = data.draw(st.integers(2, 2 * n + 3))
+    pos = np.arange(n, dtype=np.int64)
+    lo = np.maximum(pos - window // 2 + 1, 0)
+    hi = np.minimum(pos + (window + 1) // 2, n)
+    source = np.array(codes, dtype=np.uint8)
+    want = source[np.random.default_rng(seed).integers(lo, hi)]
+    assert window_shuffle(NormalizedText(source), window, seed) == NormalizedText(want)
+
+
+def test_window_shuffle_memory_is_three_words_per_symbol():
+    # the bounds and the draws, 8 bytes each; the 1-byte gather runs
+    # after the bounds are freed, and a position array would add 8 more
+    n = 1_000_000
+    text = NormalizedText(np.random.default_rng(5).integers(0, 27, n).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        window_shuffle(text, 3000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24.5 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_window_shuffle_preserves_local_frequencies():

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from test_integration import synthetic_novel
 
 from lettercorr import (
     DisplacementCurve,
@@ -13,6 +17,8 @@ from lettercorr import (
     fit_exponent,
     indicator,
     normalize,
+    symbol_code,
+    walk,
 )
 
 
@@ -27,6 +33,32 @@ def centered_profile_displacement(bits: np.ndarray, ks) -> np.ndarray:
     """Alternative route: running sum of mean-centered data, k-lag increments."""
     profile = np.concatenate(([0.0], np.cumsum(bits - bits.mean(), dtype=np.float64)))
     return np.array([float(np.var(profile[k:] - profile[:-k])) for k in ks])
+
+
+def uint64_displacement(bits: np.ndarray, ks) -> np.ndarray:
+    """The all-uint64 kernel: modular cross term, chunks below 2**64 only."""
+    n = bits.size
+    mask = (1 << 64) - 1
+    prefix = np.zeros(n + 1, dtype=np.uint64)
+    np.cumsum(bits, dtype=np.uint64, out=prefix[1:])
+    q1 = np.zeros(n + 2, dtype=np.uint64)
+    np.cumsum(prefix, out=q1[1:])
+    q2 = np.zeros(n + 2, dtype=np.uint64)
+    np.multiply(prefix, prefix, out=q2[1:])
+    np.cumsum(q2[1:], out=q2[1:])
+    f = []
+    for k in ks:
+        m = n - k + 1
+        rows = mask // (k * k)
+        s1 = s2 = 0
+        for a in range(0, m, rows):
+            b = min(a + rows, m)
+            s1 += (int(q1[b + k]) - int(q1[a + k]) - int(q1[b]) + int(q1[a])) & mask
+            cross = int(np.dot(prefix[a + k : b + k], prefix[a:b]))
+            squares = int(q2[b + k]) - int(q2[a + k]) + int(q2[b]) - int(q2[a])
+            s2 += (squares - 2 * cross) & mask
+        f.append((m * s2 - s1 * s1) / (m * m))
+    return np.array(f)
 
 
 def _series(bits) -> IndicatorSeries:
@@ -100,6 +132,55 @@ def test_displacement_is_the_exact_window_variance(bits, data):
     for k, f in zip(ks, got.tolist()):
         sums = [sum(bits[i : i + k]) for i in range(n - k + 1)]
         assert f == exact_variance(sum(sums), sum(d * d for d in sums), len(sums))
+
+
+@given(bit_arrays, st.data())
+def test_float_chunks_match_the_uint64_kernel(bits, data):
+    # a small float64 bound puts chunk seams inside short sequences; a
+    # minimum above the resulting rows sends the walk down the uint64 path
+    n = len(bits)
+    ks = sorted(data.draw(st.sets(st.integers(1, n // 4), max_size=5)) | {n // 4})
+    square = max(sum(bits), 1) ** 2
+    rows = data.draw(st.integers(1, n))
+    bound = rows * square + data.draw(st.integers(0, square - 1))
+    min_rows = data.draw(st.integers(1, n))
+    with mock.patch.multiple(walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows):
+        got = displacement(_series(bits), ks).f
+    assert got.tolist() == uint64_displacement(np.array(bits, dtype=np.uint8), ks).tolist()
+
+
+def test_frequent_symbols_of_the_novel_match_the_uint64_kernel():
+    # only a symbol whose float64 cap (2**53 - 1) // n1**2 falls below N
+    # splits the rows of a k into several float chunks: a, e and space
+    # (whose cross term passes 2**53 at small k, so one float64 dot over
+    # every row would round); x is a one-chunk control
+    text = synthetic_novel()
+    grid = default_k_grid(len(text))
+    series = {code: indicator(text, code) for code in range(27)}
+    split = [
+        code for code, s in series.items()
+        if ((1 << 53) - 1) // max(int(s.bits.sum()), 1) ** 2 < len(text)
+    ]
+    assert split == [symbol_code("a"), symbol_code("e"), symbol_code("space")]
+    for code in [*split, symbol_code("x")]:
+        bits = series[code].bits
+        got = displacement(series[code], grid).f
+        assert got.tolist() == uint64_displacement(bits, grid.tolist()).tolist(), code
+
+
+def test_displacement_memory_is_three_words_per_symbol():
+    # the prefix sums and their two running sums, 8 bytes each; a uint64
+    # copy of a float64 prefix would add 8 more
+    n = 1_000_000
+    bits = (np.random.default_rng(4).random(n) < 0.3).astype(np.uint8)
+    series = _series(bits)
+    tracemalloc.start()
+    try:
+        displacement(series, [1, 10, 1000, n // 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_windows_past_the_uint64_bound_are_summed_in_chunks():
