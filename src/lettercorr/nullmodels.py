@@ -15,6 +15,10 @@ import numpy as np
 from .textnorm import SPACE, NormalizedText, normalize, tokenize
 
 
+# positions drawn per call by the generators that work in blocks
+_BLOCK = 1 << 14
+
+
 def _rng(seed: int | None) -> np.random.Generator:
     if seed is None:
         raise ValueError("a seed is required for reproducible output")
@@ -28,25 +32,36 @@ def window_shuffle(text: NormalizedText, window: int, seed: int) -> NormalizedTe
     source symbols with index j in [max(0, i - window//2 + 1),
     min(N, i + ceil(window/2))). Windows are clamped at the text
     boundaries, never wrapped, so a window of 2N or more degenerates to
-    iid draws from the whole text. Local letter frequencies survive in
-    expectation; everything else is destroyed.
+    iid draws from the whole text (and is drawn as a window of 2N). Local
+    letter frequencies survive in expectation; everything else is
+    destroyed. Positions are drawn in blocks, so besides the output the
+    draw holds only the picked indices, 8 bytes a symbol.
     """
     n = len(text)
     if n == 0:
         raise ValueError("empty text")
     if window < 2:
         raise ValueError("window must be at least 2")
+    # every window of 2N or more gives lo = 0 and hi = N at every position;
+    # the clamp keeps the bounds below in int64
+    window = min(window, 2 * n)
+    back, ahead = window // 2 - 1, (window + 1) // 2
     rng = _rng(seed)
-    start = 1 - window // 2
-    lo = np.arange(start, start + n, dtype=np.int64)
-    np.maximum(lo, 0, out=lo)
-    stop = (window + 1) // 2
-    hi = np.arange(stop, stop + n, dtype=np.int64)
-    np.minimum(hi, n, out=hi)
-    picks = rng.integers(lo, hi)
-    # the draw holds lo, hi and picks, 24 bytes a symbol; freeing the
-    # bounds keeps the gather's extra byte a symbol below that peak
-    del lo, hi
+    picks = np.empty(n, dtype=np.int64)
+    # numpy draws element by element alike for scalar and array bounds,
+    # so blocks of positions give the same picks as one call over all;
+    # only blocks that reach a text boundary need per-position bounds
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        lo = np.arange(a - back, b - back)
+        if a < back or b - 1 + ahead > n:
+            hi = lo + (window - 1)
+            np.maximum(lo, 0, out=lo)
+            np.minimum(hi, n, out=hi)
+            picks[a:b] = rng.integers(lo, hi)
+        else:
+            picks[a:b] = rng.integers(0, window - 1, size=b - a)
+            picks[a:b] += lo
     return NormalizedText(text.codes[picks])
 
 
@@ -106,7 +121,8 @@ def two_regime_sequence(
     The burst is centered in the sequence unless ``burst_start`` is given.
     The defaults give a sequence whose displacement curve shows the same
     three-region shape as a natural novel despite carrying no structure
-    at all.
+    at all. The uniform draws are made and compared in blocks, so only
+    the output grows with ``length``.
     """
     if length < 1:
         raise ValueError("length must be positive")
@@ -122,7 +138,14 @@ def two_regime_sequence(
             f"burst [{burst_start}, {burst_start + burst_len}) does not fit in length {length}"
         )
     rng = _rng(seed)
-    p = np.full(length, base_p)
-    p[burst_start : burst_start + burst_len] = burst_p
-    codes = np.where(rng.random(length) < p, 0, SPACE).astype(np.uint8)
+    burst_end = burst_start + burst_len
+    codes = np.empty(length, dtype=np.uint8)
+    for a in range(0, length, _BLOCK):
+        b = min(a + _BLOCK, length)
+        draws = rng.random(b - a)
+        hit = draws < base_p
+        lo, hi = max(burst_start, a) - a, min(burst_end, b) - a
+        if lo < hi:
+            hit[lo:hi] = draws[lo:hi] < burst_p
+        codes[a:b] = np.where(hit, 0, SPACE)
     return NormalizedText(codes)

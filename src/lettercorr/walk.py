@@ -106,14 +106,19 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
 
     With P the prefix sums of the bits, the m = N-k+1 window sums are
     d_i = P[i+k] - P[i]. Their moments are exact integers: S1 = sum d_i
-    comes from running sums of P, and S2 = sum d_i**2 from running sums
-    of P**2 minus twice the cross term sum P[i] P[i+k], one dot product
-    per k. The running sums are uint64, which is exact modulo 2**64;
-    since 0 <= S2 <= rows * k**2, the windows are taken in chunks of at
-    most (2**64 - 1) // k**2 rows (one chunk unless m * k**2 reaches
-    2**64, near N = 7.4e6 at k = N/4) and the chunks are added in Python
-    ints. F = (m S2 - S1**2) / m**2 is then one correctly rounded
-    division.
+    comes from the running sums Q1(x) = sum_{i<x} P[i], and S2 = sum d_i**2
+    from Q2(x) = sum_{i<x} P[i]**2 minus twice the cross term
+    sum P[i] P[i+k], one dot product per k. Q1 and Q2 are read from the
+    positions of the ones: the s-th one (from 0) enters P at index at[s],
+    one past its position, and adds 2s + 1 to P**2 there, so with
+    c = P[min(x, N)], Q1(x) = x c - R1[c] and Q2(x) = x c**2 - R2[c],
+    where R1[t] and R2[t] sum at[s] and (2s + 1) at[s] over s < t. R1
+    and R2 are int64 cumsums that wrap, exact modulo 2**64; since
+    0 <= S2 <= rows * k**2, the windows are taken in chunks of at most
+    (2**64 - 1) // k**2 rows (one chunk unless m * k**2 reaches 2**64,
+    near N = 7.4e6 at k = N/4), whose moments are recovered from their
+    residues and added in Python ints. F = (m S2 - S1**2) / m**2 is then
+    one correctly rounded division.
 
     The cross term is a float64 dot (BLAS) when that is exact. Every P
     is at most n1, the count of ones, so every product is at most n1**2,
@@ -127,6 +132,10 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
     choice, tuned on synthetic sequences only, since either dot is
     exact. Window lengths are capped at N/4 to keep enough windows for
     a stable variance.
+
+    Memory is one word per symbol, the prefix P, plus three per one:
+    the positions, R1 and R2. The positions are freed before P is built,
+    so the peak is max(3 n1, N + 2 n1) words, at most three per symbol.
     """
     bits = series.bits
     n = bits.size
@@ -142,34 +151,52 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
         bad = int(ks[np.argmax(ks > limit)])
         raise ValueError(f"window k={bad} exceeds N/4={limit} for a sequence of length {n}")
 
+    # r1[t] and r2[t] sum at[s] and (2s + 1) * at[s] over s < t, in int64
+    # arithmetic that wraps, so exact modulo 2**64
+    at = np.flatnonzero(bits)
+    at += 1
+    ones = at.size
+    r1 = np.zeros(ones + 1, dtype=np.int64)
+    np.cumsum(at, out=r1[1:])
+    r2 = np.arange(-1, 2 * ones, 2, dtype=np.int64)
+    r2[0] = 0
+    r2[1:] *= at
+    np.cumsum(r2, out=r2)
+    del at
+
     # a float64 dot is exact over at most dot_rows rows; the uint64 dot
     # is exact modulo 2**64 over any number
-    ones = max(int(np.count_nonzero(bits)), 1)
-    dot_rows = _FLOAT_EXACT // (ones * ones)
+    dot_rows = _FLOAT_EXACT // max(ones * ones, 1)
     dtype = np.float64
     if dot_rows < _FLOAT_MIN_ROWS:
         dtype, dot_rows = np.uint64, n
-    prefix = np.zeros(n + 1, dtype=dtype)
-    np.cumsum(bits, dtype=dtype, out=prefix[1:])
-    # q1[j] and q2[j] sum prefix[i] and prefix[i]**2 over i < j; a float
-    # prefix and its squares are exact integers, so the casts are too
-    q1 = np.zeros(n + 2, dtype=np.uint64)
-    np.cumsum(prefix, dtype=np.uint64, out=q1[1:])
-    q2 = np.zeros(n + 2, dtype=np.uint64)
-    np.multiply(prefix, prefix, out=q2[1:], casting="unsafe")
-    np.cumsum(q2[1:], out=q2[1:])
+    prefix = np.empty(n + 1, dtype=dtype)
+    prefix[0] = 0
+    prefix[1:] = bits
+    np.cumsum(prefix, out=prefix)
 
     f = np.empty(ks.size, dtype=np.float64)
     for j, k in enumerate(ks.tolist()):
         m = n - k + 1
         rows = min(_WRAP_MASK // (k * k), dot_rows)
-        s1 = s2 = 0
-        for a in range(0, m, rows):
-            b = min(a + rows, m)
-            s1 += (int(q1[b + k]) - int(q1[a + k]) - int(q1[b]) + int(q1[a])) & _WRAP_MASK
+        edges = np.append(np.arange(0, m, rows), m)
+        # Q1 and Q2 at every chunk edge and k past it, from one gather
+        x = np.concatenate((edges, edges + k))
+        c = prefix[np.minimum(x, n)].astype(np.int64)
+        xc = x * c
+        q1 = xc - r1[c]
+        q2 = xc * c - r2[c]
+        # per chunk, S1 and the sum of squares lie in [0, 2**64), so their
+        # residues read as uint64 are the values themselves
+        cut = edges.size
+        s1 = np.diff(q1[cut:]) - np.diff(q1[:cut])
+        squares = np.diff(q2[cut:]) + np.diff(q2[:cut])
+        bounds = edges.tolist()
+        s2 = 0
+        for a, b, square in zip(bounds, bounds[1:], squares.view(np.uint64).tolist()):
             cross = int(np.dot(prefix[a + k : b + k], prefix[a:b]))
-            squares = int(q2[b + k]) - int(q2[a + k]) + int(q2[b]) - int(q2[a])
-            s2 += (squares - 2 * cross) & _WRAP_MASK
+            s2 += (square - 2 * cross) & _WRAP_MASK
+        s1 = sum(s1.view(np.uint64).tolist())
         f[j] = (m * s2 - s1 * s1) / (m * m)
     return DisplacementCurve(k=ks, f=f, n=n)
 

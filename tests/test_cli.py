@@ -134,6 +134,19 @@ def test_shuffle_modes_and_replay(tmp_path, corpus_file):
     assert np.array_equal(perm_hist, src_hist)
 
 
+def test_shuffle_window_past_int64_samples_like_twice_the_text(tmp_path, corpus_file, capsys):
+    # any window of 2N or more draws from the whole text; the replay line
+    # keeps the window as given
+    n = len(normalize(corpus_file.read_bytes()))
+    huge, whole = tmp_path / "huge.txt", tmp_path / "whole.txt"
+    base = ["shuffle", "--input", corpus_file, "--mode", "window-sample", "--seed", 4]
+    assert run([*base, "--window", "99999999999999999999", "--output", huge]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert run([*base, "--window", 2 * n, "--output", whole]) == 0
+    assert _body(huge) == _body(whole)
+    assert "--window 99999999999999999999" in " ".join(_replay_line(huge))
+
+
 def test_shuffle_window_mode_requires_window(tmp_path, corpus_file, capsys):
     assert run(["shuffle", "--input", corpus_file, "--mode", "window-sample", "--seed", 1]) == 1
     assert "--window is required" in capsys.readouterr().err

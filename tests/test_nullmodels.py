@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lettercorr import (
     indicator,
     letter_shuffle,
     normalize,
+    nullmodels,
     tokenize,
     two_regime_sequence,
     window_permute,
@@ -88,15 +90,30 @@ def test_window_shuffle_validation():
     st.integers(min_value=0, max_value=2**32),
 )
 def test_window_shuffle_matches_the_position_formula(codes, data, seed):
-    # the bounds built from one position array, as before the in-place clamps
+    # the bounds built from one position array, as before the in-place
+    # clamps and the blocks. Small blocks put interior blocks, drawn with
+    # one scalar range, next to clamped ones; window 2 draws nothing, and
+    # windows of 2N or more have no interior
     n = len(codes)
-    window = data.draw(st.integers(2, 2 * n + 3))
+    window = data.draw(
+        st.one_of(st.integers(2, 2 * n + 3), st.sampled_from([2, 3, 2 * n, 2 * n + 1]))
+    )
+    block = data.draw(st.integers(1, n + 1))
     pos = np.arange(n, dtype=np.int64)
     lo = np.maximum(pos - window // 2 + 1, 0)
     hi = np.minimum(pos + (window + 1) // 2, n)
     source = np.array(codes, dtype=np.uint8)
     want = source[np.random.default_rng(seed).integers(lo, hi)]
-    assert window_shuffle(NormalizedText(source), window, seed) == NormalizedText(want)
+    with mock.patch.object(nullmodels, "_BLOCK", block):
+        got = window_shuffle(NormalizedText(source), window, seed)
+    assert got == NormalizedText(want)
+
+
+def test_window_shuffle_draws_huge_windows_as_twice_the_text():
+    # a window past the int64 range is clamped before any array is built
+    text = _drifting_text(1000, 4)
+    for window in (2000, 2001, 10**6, 10**20):
+        assert window_shuffle(text, window, 3) == window_shuffle(text, 2000, 3)
 
 
 def test_window_shuffle_memory_is_three_words_per_symbol():
@@ -111,6 +128,20 @@ def test_window_shuffle_memory_is_three_words_per_symbol():
     finally:
         tracemalloc.stop()
     assert peak <= 24.5 * n, f"{peak / n:.2f} bytes per symbol"
+
+
+def test_window_shuffle_memory_is_one_word_per_symbol():
+    # the picks, 8 bytes a symbol, then the 1-byte gather; the bounds and
+    # draws exist one block at a time
+    n = 1_000_000
+    text = NormalizedText(np.random.default_rng(5).integers(0, 27, n).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        window_shuffle(text, 3000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_window_shuffle_preserves_local_frequencies():
@@ -179,6 +210,41 @@ def test_two_regime_alphabet_and_placement():
     assert two_regime_sequence(5000, 0.1, 0.9, 0, seed=1) == two_regime_sequence(
         5000, 0.1, 0.1, 0, seed=1
     )
+
+
+def full_array_two_regime(length, base_p, burst_p, burst_len, burst_start, seed):
+    """One probability per position and one draw over all, as before blocks."""
+    p = np.full(length, base_p)
+    p[burst_start : burst_start + burst_len] = burst_p
+    draws = np.random.default_rng(seed).random(length)
+    return NormalizedText(np.where(draws < p, 0, SPACE).astype(np.uint8))
+
+
+@given(st.data(), st.integers(min_value=0, max_value=2**32))
+def test_two_regime_blocks_match_the_full_array_formula(data, seed):
+    # block sizes that put the burst edges on a block seam, and bursts
+    # that start, end or lie inside one block or span several
+    length = data.draw(st.integers(1, 400))
+    burst_len = data.draw(st.integers(0, length))
+    burst_start = data.draw(st.integers(0, length - burst_len))
+    seams = [e for e in (burst_start, burst_start + burst_len) if e > 0]
+    block = data.draw(st.one_of(st.integers(1, length + 1), st.sampled_from(seams or [1])))
+    base_p, burst_p = data.draw(st.sampled_from([(0.062, 0.1054), (0.3, 0.9), (0.5, 0.5)]))
+    with mock.patch.object(nullmodels, "_BLOCK", block):
+        got = two_regime_sequence(length, base_p, burst_p, burst_len, burst_start, seed=seed)
+    assert got == full_array_two_regime(length, base_p, burst_p, burst_len, burst_start, seed)
+
+
+def test_two_regime_memory_is_the_output_alone():
+    # the draws and their comparison exist one block at a time
+    n = 1_200_000
+    tracemalloc.start()
+    try:
+        two_regime_sequence(n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_two_regime_equal_probabilities_fit_near_unity():

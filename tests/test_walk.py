@@ -134,16 +134,33 @@ def test_displacement_is_the_exact_window_variance(bits, data):
         assert f == exact_variance(sum(sums), sum(d * d for d in sums), len(sums))
 
 
-@given(bit_arrays, st.data())
-def test_float_chunks_match_the_uint64_kernel(bits, data):
+@st.composite
+def ones_near_the_ends(draw):
+    # ones only within k of either end, where a window's edge leaves the
+    # sequence; optionally flipped, so that nearly every symbol is a one
+    n = draw(st.integers(8, 400))
+    k = draw(st.integers(1, n // 4))
+    near = list(range(k)) + list(range(n - k, n))
+    ones = draw(st.sets(st.sampled_from(near)))
+    bits = [int(i in ones) for i in range(n)]
+    if draw(st.booleans()):
+        bits = [1 - b for b in bits]
+    return bits, k
+
+
+@given(st.one_of(bit_arrays.map(lambda b: (b, len(b) // 4)), ones_near_the_ends()), st.data())
+def test_float_chunks_match_the_uint64_kernel(case, data):
     # a small float64 bound puts chunk seams inside short sequences; a
-    # minimum above the resulting rows sends the walk down the uint64 path
+    # minimum above the resulting rows sends the walk down the uint64
+    # path. The kernel reads Q1 and Q2 from the ones' positions, at every
+    # chunk edge of a k in one gather; the reference keeps them dense
+    bits, k = case
     n = len(bits)
-    ks = sorted(data.draw(st.sets(st.integers(1, n // 4), max_size=5)) | {n // 4})
+    ks = sorted(data.draw(st.sets(st.integers(1, n // 4), max_size=5)) | {k, n // 4})
     square = max(sum(bits), 1) ** 2
     rows = data.draw(st.integers(1, n))
     bound = rows * square + data.draw(st.integers(0, square - 1))
-    min_rows = data.draw(st.integers(1, n))
+    min_rows = data.draw(st.integers(0, n + 1))
     with mock.patch.multiple(walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows):
         got = displacement(_series(bits), ks).f
     assert got.tolist() == uint64_displacement(np.array(bits, dtype=np.uint8), ks).tolist()
@@ -181,6 +198,32 @@ def test_displacement_memory_is_three_words_per_symbol():
     finally:
         tracemalloc.stop()
     assert peak <= 25 * n, f"{peak / n:.2f} bytes per symbol"
+
+
+def _peak_bytes(series, ks) -> int:
+    tracemalloc.start()
+    try:
+        displacement(series, ks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_displacement_memory_is_one_word_per_symbol_plus_three_per_one():
+    # the float64 prefix, 8 bytes a symbol, and the positions' two running
+    # sums, 16 bytes a one: space, the novel's most frequent symbol, is
+    # one in five symbols, so it needs about 11.1 bytes a symbol
+    text = synthetic_novel()
+    n = len(text)
+    series = indicator(text, "space")
+    assert series.mean < 0.2
+    peak = _peak_bytes(series, default_k_grid(n))
+    assert peak <= 12 * n, f"{peak / n:.2f} bytes per symbol"
+    # when every symbol is a one the positions and both running sums
+    # peak at three words a symbol, before the prefix is built
+    ones = _series(np.ones(1_000_000, dtype=np.uint8))
+    peak = _peak_bytes(ones, [1, 10, 1000, 250_000])
+    assert peak <= 24.5 * 1_000_000, f"{peak / 1e6:.2f} bytes per symbol"
 
 
 def test_windows_past_the_uint64_bound_are_summed_in_chunks():
