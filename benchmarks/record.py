@@ -10,9 +10,11 @@ throughput, peak RSS, set-up time), which a traced run does not report.
 The output holds, per workload, the traced run's final JSON line
 (per-layer metrics, operations attempted and failed), its ``env:`` line
 and its other summary lines, and under ``end_to_end`` the same for the
-untraced run; plus the git revision the tree was checked out at and the
-paths that differed from it. A benchmark run that exits non-zero or
-prints no final line is an error, and no file is written.
+untraced run; plus the git revision the tree was checked out at, the
+paths that differed from it, and ``src_lines``, the line count of the
+package source as ``wc -l src/lettercorr/*.py`` gives it. A benchmark
+run that exits non-zero or prints no final line is an error, and no file
+is written.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout
+
+
+def src_lines() -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "lettercorr").glob("*.py"))
 
 
 def run_benchmark(command: list[str], name: str, seconds: float, trace: int) -> dict[str, object]:
@@ -63,6 +69,7 @@ def main() -> int:
     record = {
         "revision": git("rev-parse", "HEAD").strip(),
         "changed_paths": changed,
+        "src_lines": src_lines(),
         "command": command,
         "seed": SEED,
         "run_seconds": seconds,

@@ -9,7 +9,6 @@ level, and trace the effect back to the lexicon via letter-share bands.
 
 from .divergence import (
     JsdProfile,
-    SymbolDistribution,
     entropy,
     fluctuation_level,
     jsd,
@@ -77,7 +76,6 @@ __all__ = [
     "JsdProfile",
     "NormalizedText",
     "ScalingFit",
-    "SymbolDistribution",
     "Tokens",
     "VarianceModel",
     "average_displacement",

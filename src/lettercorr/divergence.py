@@ -7,6 +7,10 @@ outcomes and N trials per sample. Profiles report the divergence between
 adjacent text segments normalized by that level, so values near 1 mean
 "statistically indistinguishable" and values well above 1 mean the local
 symbol composition really changed.
+
+Distributions are integer count arrays. ``entropy`` and ``jsd`` take one
+distribution as a 1-d array and return a float, or one per row of a 2-d
+array and return an array; one row kernel serves them and the profiles.
 """
 
 from __future__ import annotations
@@ -17,37 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .textnorm import ALPHABET_SIZE, SPACE, NormalizedText
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolDistribution:
-    """Observed symbol counts over a fixed alphabet."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0:
-            raise ValueError("counts must be a non-empty 1-d array")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n_symbols(self) -> int:
-        return self.counts.size
-
-    @property
-    def total(self) -> int:
-        """Number of trials behind the distribution."""
-        return int(self.counts.sum())
-
-    @property
-    def freqs(self) -> np.ndarray:
-        total = self.total
-        if total == 0:
-            raise ValueError("empty distribution has no frequencies")
-        return self.counts / total
 
 
 def _row_entropy(freqs: np.ndarray) -> np.ndarray:
@@ -67,23 +40,43 @@ def _row_entropy(freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def entropy(dist: SymbolDistribution) -> float:
-    """Shannon entropy in nats; zero-probability outcomes contribute 0."""
-    return float(_row_entropy(dist.freqs[None, :])[0])
+def _counts(counts: np.ndarray) -> np.ndarray:
+    """``counts`` as an array, checked to hold one distribution, or one per
+    row, of non-negative integer counts with a positive total."""
+    counts = np.asarray(counts)
+    if counts.ndim not in (1, 2) or counts.size == 0:
+        raise ValueError("counts must be a non-empty 1-d or 2-d array")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"counts must be integers, not {counts.dtype}")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    if not counts.sum(axis=-1).all():
+        raise ValueError("empty distribution has no frequencies")
+    return counts
 
 
-def jsd(p: SymbolDistribution, q: SymbolDistribution) -> float:
-    """Jensen-Shannon divergence between two distributions, in nats.
+def entropy(counts: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats of a count vector, or of each row of a count
+    matrix; zero counts contribute 0."""
+    counts = _counts(counts)
+    rows = np.atleast_2d(counts)
+    h = _row_entropy(rows / rows.sum(axis=1, keepdims=True))
+    return float(h[0]) if counts.ndim == 1 else h
+
+
+def jsd(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """Jensen-Shannon divergence in nats between two count vectors, or
+    between each pair of rows of two count matrices of one shape.
 
     Computed as the entropy of the equal-weight mixture minus the mean of
     the two entropies. Symmetric, non-negative, zero exactly when the
     frequency vectors coincide, and bounded by ln 2.
     """
-    if p.n_symbols != q.n_symbols:
-        raise ValueError(f"alphabet mismatch: {p.n_symbols} vs {q.n_symbols} symbols")
-    if p.total == 0 or q.total == 0:
-        raise ValueError("empty distribution has no frequencies")
-    return float(_pair_stats(p.counts[None, :], q.counts[None, :])[0][0])
+    p, q = _counts(p), _counts(q)
+    if p.shape != q.shape:
+        raise ValueError(f"alphabet mismatch: counts of shape {p.shape} vs {q.shape}")
+    d = _pair_stats(np.atleast_2d(p), np.atleast_2d(q))[0]
+    return float(d[0]) if p.ndim == 1 else d
 
 
 def fluctuation_level(n_symbols: int, trials: int, trials2: int | None = None) -> float:

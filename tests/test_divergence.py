@@ -11,7 +11,6 @@ from lettercorr import (
     SPACE,
     JsdProfile,
     NormalizedText,
-    SymbolDistribution,
     divergence,
     entropy,
     fluctuation_level,
@@ -23,10 +22,6 @@ from lettercorr import (
 PROFILE_ARRAYS = ("positions", "raw", "fluct", "normalized", "support", "trials")
 
 
-def _dist(counts) -> SymbolDistribution:
-    return SymbolDistribution(np.asarray(counts, dtype=np.int64))
-
-
 # The per-pair paths the segment-pair kernel replaced, kept as references.
 
 
@@ -35,8 +30,8 @@ def _entropy_1d(freqs: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _jsd_1d(p: SymbolDistribution, q: SymbolDistribution) -> float:
-    fp, fq = p.freqs, q.freqs
+def _jsd_1d(p: np.ndarray, q: np.ndarray) -> float:
+    fp, fq = p / p.sum(), q / q.sum()
     d = _entropy_1d((fp + fq) / 2.0) - 0.5 * (_entropy_1d(fp) + _entropy_1d(fq))
     return max(d, 0.0)
 
@@ -46,18 +41,19 @@ def _loop_profile(text: NormalizedText, length: int, step: int, include_space: b
     n_symbols = 27 if include_space else SPACE
     rows = []
     for b in range(length, len(text) - length + 1, step):
-        left = _dist(np.bincount(text.codes[b - length : b], minlength=27)[:n_symbols])
-        right = _dist(np.bincount(text.codes[b : b + length], minlength=27)[:n_symbols])
-        if left.total == 0 or right.total == 0:
+        left = np.bincount(text.codes[b - length : b], minlength=27)[:n_symbols]
+        right = np.bincount(text.codes[b : b + length], minlength=27)[:n_symbols]
+        n_left, n_right = int(left.sum()), int(right.sum())
+        if n_left == 0 or n_right == 0:
             continue
-        pooled = int(np.count_nonzero(left.counts + right.counts))
+        pooled = int(np.count_nonzero(left + right))
         d = jsd(left, right)
         if pooled < 2:
             level = norm = 0.0
         else:
-            level = fluctuation_level(pooled, left.total, right.total)
+            level = fluctuation_level(pooled, n_left, n_right)
             norm = d / level
-        trials = 2.0 / (1.0 / left.total + 1.0 / right.total)
+        trials = 2.0 / (1.0 / n_left + 1.0 / n_right)
         rows.append((b, d, level, norm, pooled, trials))
     columns = list(zip(*rows)) or [()] * 6
     dtypes = (np.int64, np.float64, np.float64, np.float64, np.int64, np.float64)
@@ -97,32 +93,50 @@ counts_pairs = st.integers(min_value=2, max_value=27).flatmap(
 
 
 def test_entropy_examples():
-    assert entropy(_dist([5, 0, 0])) == 0.0
-    assert entropy(_dist([3, 3])) == pytest.approx(math.log(2), abs=1e-12)
-    assert entropy(_dist([10] * 27)) == pytest.approx(math.log(27), abs=1e-12)
+    assert entropy([5, 0, 0]) == 0.0
+    assert entropy([3, 3]) == pytest.approx(math.log(2), abs=1e-12)
+    assert entropy([10] * 27) == pytest.approx(math.log(27), abs=1e-12)
     with pytest.raises(ValueError, match="empty"):
-        entropy(_dist([0, 0]))
+        entropy([0, 0])
 
 
 def test_jsd_examples():
-    assert jsd(_dist([3, 1]), _dist([3, 1])) == 0.0
-    assert jsd(_dist([1, 0]), _dist([0, 1])) == pytest.approx(math.log(2), abs=1e-12)
+    assert jsd([3, 1], [3, 1]) == 0.0
+    assert jsd([1, 0], [0, 1]) == pytest.approx(math.log(2), abs=1e-12)
     with pytest.raises(ValueError, match="alphabet mismatch"):
-        jsd(_dist([1, 2]), _dist([1, 2, 3]))
+        jsd([1, 2], [1, 2, 3])
+
+
+def test_jsd_and_entropy_reject_what_is_not_counts():
+    not_counts = [
+        ([0.7, 1.6, 2.9], "integers"),  # an int cast gives [0, 1, 2]
+        ([0.2, 0.8], "integers"),  # an int cast gives [0, 0]
+        ([3, -1, 2], "non-negative"),
+        (np.ones((2, 2, 2), dtype=np.int64), "1-d or 2-d"),
+        ([], "non-empty"),
+        ([[1, 2], [0, 0]], "empty distribution"),
+    ]
+    for counts, message in not_counts:
+        with pytest.raises(ValueError, match=message):
+            entropy(counts)
+        with pytest.raises(ValueError, match=message):
+            jsd(counts, counts)
+    with pytest.raises(ValueError, match=r"alphabet mismatch: .*\(2, 3\) vs \(3, 3\)"):
+        jsd(np.ones((2, 3), dtype=np.int64), np.ones((3, 3), dtype=np.int64))
 
 
 def test_jsd_ignores_count_scale():
     # equal frequency vectors from different trial counts diverge by zero
-    assert jsd(_dist([2, 4, 6]), _dist([1, 2, 3])) == 0.0
+    assert jsd([2, 4, 6], [1, 2, 3]) == 0.0
 
 
 @given(counts_pairs)
 def test_jsd_bounds_and_symmetry(pq):
-    p, q = _dist(pq[0]), _dist(pq[1])
+    p, q = np.array(pq[0]), np.array(pq[1])
     d = jsd(p, q)
     assert 0.0 <= d <= math.log(2) + 1e-12
     assert d == jsd(q, p)
-    if np.array_equal(p.freqs, q.freqs):
+    if np.array_equal(p / p.sum(), q / q.sum()):
         assert d == 0.0
     else:
         assert d > 0.0
@@ -144,22 +158,30 @@ def test_fluctuation_level_matches_monte_carlo(n_symbols, trials):
     rng = np.random.default_rng(7)
     law = np.full(n_symbols, 1.0 / n_symbols)
     draws = rng.multinomial(trials, law, size=(1000, 2))
-    mean = np.mean([jsd(_dist(a), _dist(b)) for a, b in draws])
+    mean = np.mean(jsd(draws[:, 0], draws[:, 1]))
     predicted = fluctuation_level(n_symbols, trials)
     assert abs(mean - predicted) <= 0.15 * predicted
 
 
-# 27 counts with many zeros, where a zero-padded row sum would add in another order
-sparse_counts = st.lists(
-    st.one_of(st.just(0), st.integers(1, 300)), min_size=27, max_size=27
-).filter(any)
+def _stacked_pairs(n: int):
+    """Several count pairs over ``n`` symbols, of different supports, which
+    the row kernel sums as separate groups; with many zeros a zero-padded
+    row sum would add in another order."""
+    counts = st.one_of(
+        st.lists(st.integers(0, 200), min_size=n, max_size=n),
+        st.lists(st.one_of(st.just(0), st.integers(1, 300)), min_size=n, max_size=n),
+    ).filter(any)
+    return st.lists(st.tuples(counts, counts), min_size=1, max_size=8)
 
 
-@given(st.one_of(counts_pairs, st.tuples(sparse_counts, sparse_counts)))
-def test_jsd_and_entropy_match_the_one_dimensional_sums(pq):
-    p, q = _dist(pq[0]), _dist(pq[1])
-    assert entropy(p).hex() == _entropy_1d(p.freqs).hex()
-    assert jsd(p, q).hex() == _jsd_1d(p, q).hex()
+@given(st.integers(2, 27).flatmap(_stacked_pairs))
+def test_jsd_and_entropy_match_the_one_dimensional_sums(pairs):
+    left, right = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    h, d = entropy(left), jsd(left, right)
+    assert h.shape == d.shape == (len(pairs),)
+    for i, (p, q) in enumerate(zip(left, right)):
+        assert h[i].hex() == entropy(p).hex() == _entropy_1d(p / p.sum()).hex()
+        assert d[i].hex() == jsd(p, q).hex() == _jsd_1d(p, q).hex()
 
 
 @given(

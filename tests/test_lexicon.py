@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lettercorr import (
     SPACE,
     NormalizedText,
-    SymbolDistribution,
     Tokens,
     band_filter_text,
     band_jsd,
@@ -97,17 +96,16 @@ def _loop_band_jsd(text: NormalizedText, lex, partition, length: int) -> list[Ba
         codes = band_filter_text(text, lex, band).codes
         norms, effs = [], []
         for s in range(0, len(text) - 2 * length + 1, 2 * length):
-            left = SymbolDistribution(np.bincount(codes[s : s + length], minlength=27)[:SPACE])
-            right = SymbolDistribution(
-                np.bincount(codes[s + length : s + 2 * length], minlength=27)[:SPACE]
-            )
-            if left.total == 0 or right.total == 0:
+            left = np.bincount(codes[s : s + length], minlength=27)[:SPACE]
+            right = np.bincount(codes[s + length : s + 2 * length], minlength=27)[:SPACE]
+            n_left, n_right = int(left.sum()), int(right.sum())
+            if n_left == 0 or n_right == 0:
                 continue
-            pooled = int(np.count_nonzero(left.counts + right.counts))
+            pooled = int(np.count_nonzero(left + right))
             if pooled < 2:
                 continue
-            norms.append(jsd(left, right) / fluctuation_level(pooled, left.total, right.total))
-            effs.append(2.0 / (1.0 / left.total + 1.0 / right.total))
+            norms.append(jsd(left, right) / fluctuation_level(pooled, n_left, n_right))
+            effs.append(2.0 / (1.0 / n_left + 1.0 / n_right))
         entries.append(
             BandJsdEntry(
                 band=band,

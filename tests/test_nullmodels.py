@@ -116,20 +116,6 @@ def test_window_shuffle_draws_huge_windows_as_twice_the_text():
         assert window_shuffle(text, window, 3) == window_shuffle(text, 2000, 3)
 
 
-def test_window_shuffle_memory_is_three_words_per_symbol():
-    # the bounds and the draws, 8 bytes each; the 1-byte gather runs
-    # after the bounds are freed, and a position array would add 8 more
-    n = 1_000_000
-    text = NormalizedText(np.random.default_rng(5).integers(0, 27, n).astype(np.uint8))
-    tracemalloc.start()
-    try:
-        window_shuffle(text, 3000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24.5 * n, f"{peak / n:.2f} bytes per symbol"
-
-
 def test_window_shuffle_memory_is_one_word_per_symbol():
     # the picks, 8 bytes a symbol, then the 1-byte gather; the bounds and
     # draws exist one block at a time
