@@ -2,19 +2,26 @@
 
     python3 benchmarks/record.py BENCH_<n>.json
 
-Runs the benchmark (``python3 perfbench/run.py``) unchanged, twice per
-workload that BENCHMARK.json declares, each for its ``run_seconds`` and
-with input seed ``SEED``: once with ``--trace 1`` for the per-layer
-metrics, once with ``--trace 0`` for the end-to-end ones (run time,
-throughput, peak RSS, set-up time), which a traced run does not report.
+Runs the benchmark (``python3 perfbench/run.py``) unchanged, three times
+per workload that BENCHMARK.json declares, each for its ``run_seconds``
+and with input seed ``SEED``: once on the tree with ``--trace 1`` for the
+per-layer metrics, and twice with ``--trace 0`` for the end-to-end ones
+(run time, throughput, peak RSS, set-up time), which a traced run does
+not report: once on the tree and once on the commit it was checked out
+at (``HEAD``, the parent of an uncommitted change), extracted with
+``git archive`` into a temporary directory. The two untraced runs
+alternate which goes first from one workload to the next, so that the
+pair tells a change in the code from a drift in the host's speed.
+
 The output holds, per workload, the traced run's final JSON line
 (per-layer metrics, operations attempted and failed), its ``env:`` line
-and its other summary lines, and under ``end_to_end`` the same for the
-untraced run; plus the git revision the tree was checked out at, the
-paths that differed from it, and ``src_lines``, the line count of the
-package source as ``wc -l src/lettercorr/*.py`` gives it. A benchmark
-run that exits non-zero or prints no final line is an error, and no file
-is written.
+and its other summary lines; under ``end_to_end`` the same for the
+untraced run of the tree, under ``end_to_end.parent`` for that of
+``HEAD``, and under ``end_to_end.first`` which of the two ran first. It
+also holds the git revision of ``HEAD``, the paths that differed from
+it, and ``src_lines``, the line count of the package source as
+``wc -l src/lettercorr/*.py`` gives it. A benchmark run that exits
+non-zero or prints no final line is an error, and no file is written.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,16 +44,26 @@ def git(*args: str) -> str:
     ).stdout
 
 
+def extract_head(dest: Path) -> None:
+    """Write the files of ``HEAD`` into ``dest``, leaving ``.git`` untouched."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def src_lines() -> int:
     return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "lettercorr").glob("*.py"))
 
 
-def run_benchmark(command: list[str], name: str, seconds: float, trace: int) -> dict[str, object]:
+def run_benchmark(
+    root: Path, command: list[str], name: str, seconds: float, trace: int
+) -> dict[str, object]:
     argv = [
         *command, "--workload", name, "--seed", str(SEED), "--seconds", str(seconds),
         "--trace", str(trace),
     ]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -66,6 +84,20 @@ def main() -> int:
         ln[3:] for ln in git("status", "--porcelain", "--untracked-files=all").splitlines()
         if (ROOT / ln[3:]).resolve() != output
     ]
+    workloads = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"tree": ROOT, "parent": Path(tmp)}
+        extract_head(sides["parent"])
+        for i, w in enumerate(spec["workloads"]):
+            name = w["name"]
+            traced = run_benchmark(ROOT, command, name, seconds, 1)
+            order = ["tree", "parent"] if i % 2 == 0 else ["parent", "tree"]
+            untraced = {side: run_benchmark(sides[side], command, name, seconds, 0)
+                        for side in order}
+            workloads[name] = {
+                **traced,
+                "end_to_end": {**untraced["tree"], "parent": untraced["parent"], "first": order[0]},
+            }
     record = {
         "revision": git("rev-parse", "HEAD").strip(),
         "changed_paths": changed,
@@ -73,13 +105,7 @@ def main() -> int:
         "command": command,
         "seed": SEED,
         "run_seconds": seconds,
-        "workloads": {
-            w["name"]: {
-                **run_benchmark(command, w["name"], seconds, 1),
-                "end_to_end": run_benchmark(command, w["name"], seconds, 0),
-            }
-            for w in spec["workloads"]
-        },
+        "workloads": workloads,
     }
     output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

@@ -21,7 +21,7 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from .divergence import jsd_profile
 from .lexicon import band_jsd, build_lexicon, compare_halves, partition_bands, zipf_fit
@@ -56,6 +56,16 @@ Body = Callable[[IO[bytes]], object]
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
+
+
+def _write_table(out: IO[bytes], names: Sequence[str], *columns: Iterable[object]) -> None:
+    """Write a header row of ``names``, then one tab-separated row per
+    position of the parallel ``columns``, one row at a time. Floats go
+    through ``_fmt``, everything else through ``str``."""
+    out.write(("\t".join(names) + "\n").encode())
+    for row in zip(*columns):
+        cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
+        out.write(("\t".join(cells) + "\n").encode())
 
 
 @contextmanager
@@ -239,9 +249,7 @@ def cmd_walk(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
                 out.write(f"# rms-residual: {_fmt(fit.rms_residual)}\n".encode())
                 if fit.excluded_zero:
                     out.write(f"# excluded-zero: {fit.excluded_zero}\n".encode())
-            out.write(b"k\tF\n")
-            for k, f in zip(curve.k, curve.f):
-                out.write(f"{int(k)}\t{_fmt(float(f))}\n".encode())
+            _write_table(out, ("k", "F"), curve.k, curve.f)
 
     return {"input": args.input, "n": len(text)}, body
 
@@ -295,14 +303,10 @@ def cmd_jsd_profile(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
         )
 
     def body(out: IO[bytes]) -> None:
-        out.write(b"position\traw\tfluct\tnormalized\n")
-        for i in range(len(profile)):
-            out.write(
-                (
-                    f"{int(profile.positions[i])}\t{_fmt(float(profile.raw[i]))}\t"
-                    f"{_fmt(float(profile.fluct[i]))}\t{_fmt(float(profile.normalized[i]))}\n"
-                ).encode()
-            )
+        _write_table(
+            out, ("position", "raw", "fluct", "normalized"),
+            profile.positions, profile.raw, profile.fluct, profile.normalized,
+        )
 
     return params, body
 
@@ -323,11 +327,11 @@ def cmd_zipf(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     limit = args.top if args.top > 0 else len(lex)
 
     def body(out: IO[bytes]) -> None:
-        out.write(b"rank\tword\tcount\tlength\tletter_share\n")
-        for e in lex.entries[:limit]:
-            out.write(
-                f"{e.rank}\t{e.word}\t{e.count}\t{e.length}\t{_fmt(e.letter_share)}\n".encode()
-            )
+        _write_table(
+            out, ("rank", "word", "count", "length", "letter_share"),
+            range(1, limit + 1), lex.words[:limit], lex.counts[:limit], lex.lengths[:limit],
+            lex.letter_shares[:limit],
+        )
 
     return params, body
 
@@ -338,14 +342,11 @@ def cmd_bands(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     partition = partition_bands(lex, args.band_count, args.target_share)
 
     def body(out: IO[bytes]) -> None:
-        out.write(b"band\trank_lo\trank_hi\tword_types\tletter_share\n")
-        for band in partition.bands:
-            out.write(
-                (
-                    f"{band.index}\t{band.rank_lo}\t{band.rank_hi}\t"
-                    f"{band.word_types}\t{_fmt(band.letter_share)}\n"
-                ).encode()
-            )
+        names = ("band", "rank_lo", "rank_hi", "word_types", "letter_share")
+        rows = [
+            (b.index, b.rank_lo, b.rank_hi, b.word_types, b.letter_share) for b in partition.bands
+        ]
+        _write_table(out, names, *zip(*rows))
 
     return {
         "input": args.input,
@@ -361,15 +362,15 @@ def cmd_band_jsd(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     report = band_jsd(text, lex, partition, args.segment_length)
 
     def body(out: IO[bytes]) -> None:
-        out.write(b"band\trank_lo\trank_hi\tword_types\tpairs\tmean_normalized\tmean_letters\n")
-        for e in report.entries:
-            band = e.band
-            out.write(
-                (
-                    f"{band.index}\t{band.rank_lo}\t{band.rank_hi}\t{band.word_types}\t"
-                    f"{e.pair_count}\t{_fmt(e.mean_normalized)}\t{_fmt(e.mean_trials)}\n"
-                ).encode()
-            )
+        names = (
+            "band", "rank_lo", "rank_hi", "word_types", "pairs", "mean_normalized", "mean_letters"
+        )
+        rows = [
+            (e.band.index, e.band.rank_lo, e.band.rank_hi, e.band.word_types,
+             e.pair_count, e.mean_normalized, e.mean_trials)
+            for e in report.entries
+        ]
+        _write_table(out, names, *zip(*rows))
 
     return {"input": args.input, "n": len(text), "segment-length": report.segment_length}, body
 
@@ -400,15 +401,12 @@ def cmd_halves(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
         words = words[: args.top]
 
     def body(out: IO[bytes]) -> None:
-        out.write(b"word\tcount_first\tcount_second\tfreq_first\tfreq_second\trel_change\n")
-        for w in words:
-            out.write(
-                (
-                    f"{w}\t{comp.first.get(w, 0)}\t{comp.second.get(w, 0)}\t"
-                    f"{_fmt(comp.frequency(w, 1))}\t{_fmt(comp.frequency(w, 2))}\t"
-                    f"{_fmt(comp.relative_change(w))}\n"
-                ).encode()
-            )
+        _write_table(
+            out, ("word", "count_first", "count_second", "freq_first", "freq_second", "rel_change"),
+            words, (comp.first.get(w, 0) for w in words), (comp.second.get(w, 0) for w in words),
+            (comp.frequency(w, 1) for w in words), (comp.frequency(w, 2) for w in words),
+            map(comp.relative_change, words),
+        )
 
     return params, body
 

@@ -22,23 +22,25 @@ from .textnorm import SPACE, NormalizedText, Tokens, tokenize
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    rank: int
-    word: str
-    count: int
-    length: int
-    letter_share: float
-
-
-@dataclass(frozen=True)
 class FrequencyLexicon:
-    """Word types ordered by decreasing count, ties broken alphabetically."""
+    """Word types ordered by decreasing count, ties broken alphabetically.
 
-    entries: tuple[LexiconEntry, ...]
+    Parallel columns in rank order: row i is rank i + 1. ``counts`` and
+    ``lengths`` are int64 arrays, ``total_letters`` their dot product.
+    """
+
+    words: tuple[str, ...]
+    counts: np.ndarray
+    lengths: np.ndarray
     total_letters: int
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.words)
+
+    @property
+    def letter_shares(self) -> np.ndarray:
+        """Each word type's share of all letters in the text."""
+        return self.counts * self.lengths / self.total_letters
 
 
 @dataclass(frozen=True)
@@ -90,20 +92,17 @@ def build_lexicon(tokens: Tokens) -> FrequencyLexicon:
     """Rank word types by decreasing count; rank 1 is the most frequent."""
     if not len(tokens):
         raise ValueError("no tokens to rank")
-    counts = dict(zip(tokens.vocab, np.bincount(tokens.types).tolist()))
-    total_letters = sum(c * len(w) for w, c in counts.items())
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries = tuple(
-        LexiconEntry(
-            rank=i + 1,
-            word=w,
-            count=c,
-            length=len(w),
-            letter_share=c * len(w) / total_letters,
-        )
-        for i, (w, c) in enumerate(ordered)
+    vocab = tokens.vocab
+    counts = np.bincount(tokens.types, minlength=len(vocab))
+    per_type = counts.tolist()
+    order = sorted(range(len(vocab)), key=lambda t: (-per_type[t], vocab[t]))
+    words = tuple(vocab[t] for t in order)
+    return FrequencyLexicon(
+        words=words,
+        counts=counts[order],
+        lengths=np.array([len(w) for w in words], dtype=np.int64),
+        total_letters=int(tokens.lengths.sum()),
     )
-    return FrequencyLexicon(entries=entries, total_letters=total_letters)
 
 
 def zipf_fit(lex: FrequencyLexicon, rank_lo: int, rank_hi: int) -> float:
@@ -111,13 +110,13 @@ def zipf_fit(lex: FrequencyLexicon, rank_lo: int, rank_hi: int) -> float:
 
     Natural novels come out near -1.
     """
-    sel = lex.entries[max(rank_lo, 1) - 1 : rank_hi]
-    if len(sel) < 10:
+    first = max(rank_lo, 1)
+    counts = lex.counts[first - 1 : rank_hi]
+    if len(counts) < 10:
         raise ValueError(
-            f"need at least 10 ranks in [{rank_lo}, {rank_hi}], have {len(sel)}"
+            f"need at least 10 ranks in [{rank_lo}, {rank_hi}], have {len(counts)}"
         )
-    ranks = np.array([e.rank for e in sel], dtype=np.float64)
-    counts = np.array([e.count for e in sel], dtype=np.float64)
+    ranks = np.arange(first, first + len(counts), dtype=np.float64)
     slope, _ = np.polyfit(np.log(ranks), np.log(counts), 1)
     return float(slope)
 
@@ -127,54 +126,35 @@ def partition_bands(
 ) -> BandPartition:
     """Split the lexicon into contiguous rank bands of equal letter share.
 
-    Scanning in rank order, a band closes at the first word whose
-    cumulative letter share reaches the band's cumulative target; the last
-    band absorbs whatever remains. A single dominant word can close
-    several targets at once, leaving empty bands; the partition is then
-    flagged degenerate.
+    In rank order, a band closes at the first word whose cumulative letter
+    share reaches the band's cumulative target; the last band absorbs
+    whatever remains. A single dominant word can close several targets at
+    once, leaving empty bands; the partition is then flagged degenerate.
     """
     if band_count < 1:
         raise ValueError("band_count must be at least 1")
     if not 0.0 < target_share <= 1.0:
         raise ValueError("target_share must lie in (0, 1]")
-    if not lex.entries:
+    if not len(lex):
         raise ValueError("empty lexicon")
 
-    # integer letter counts keep the cumulative scan free of float drift
-    closes: list[int] = []
-    cum_letters = 0
-    for e in lex.entries:
-        cum_letters += e.count * e.length
-        while (
-            len(closes) < band_count - 1
-            and cum_letters >= (len(closes) + 1) * target_share * lex.total_letters - 1e-6
-        ):
-            closes.append(e.rank)
-
-    bounds: list[tuple[int, int]] = []
-    prev = 0
-    for c in closes:
-        bounds.append((prev + 1, c))
-        prev = c
-    while len(bounds) < band_count - 1:
-        bounds.append((prev + 1, prev))
-    bounds.append((prev + 1, len(lex.entries)))
-
-    bands = []
-    for i, (lo, hi) in enumerate(bounds):
-        members = lex.entries[lo - 1 : hi] if lo <= hi else ()
-        letters = sum(e.count * e.length for e in members)
-        bands.append(
-            Band(
-                index=i + 1,
-                rank_lo=lo,
-                rank_hi=hi,
-                word_types=len(members),
-                letter_share=letters / lex.total_letters,
-            )
+    # integer letter counts keep the cumulative sums free of float drift
+    cum = np.concatenate(([0], np.cumsum(lex.counts * lex.lengths)))
+    targets = np.arange(1, band_count) * target_share * lex.total_letters - 1e-6
+    closes = np.searchsorted(cum[1:], targets)
+    # targets past the last word close no band: those bands are empty and
+    # sit just before the last band, which takes the rest
+    closes[closes == len(lex)] = -1
+    ends = np.maximum.accumulate(np.concatenate(([0], closes + 1, [len(lex)])))
+    shares = np.diff(cum[ends]) / lex.total_letters
+    bands = tuple(
+        Band(index=i + 1, rank_lo=lo + 1, rank_hi=hi, word_types=hi - lo, letter_share=share)
+        for i, (lo, hi, share) in enumerate(
+            zip(ends[:-1].tolist(), ends[1:].tolist(), shares.tolist())
         )
+    )
     return BandPartition(
-        bands=tuple(bands),
+        bands=bands,
         target_share=target_share,
         degenerate=any(b.word_types == 0 for b in bands),
     )
@@ -194,7 +174,7 @@ def band_filter_text(
     """
     if tokens is None:
         tokens = tokenize(text)
-    in_band = {e.word for e in lex.entries[band.rank_lo - 1 : band.rank_hi]}
+    in_band = set(lex.words[band.rank_lo - 1 : band.rank_hi])
     keep = np.array([w in in_band for w in tokens.vocab], dtype=bool)
     # tokens tile the letters in order, so token masks repeat into letter masks
     out = text.codes.copy()

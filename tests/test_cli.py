@@ -1,16 +1,33 @@
+import io
 import os
 import shlex
 import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lettercorr
-from lettercorr import decode_symbols, normalize
+from lettercorr import (
+    average_displacement,
+    band_jsd,
+    build_lexicon,
+    compare_halves,
+    decode_symbols,
+    default_k_grid,
+    displacement,
+    fit_exponent,
+    indicator,
+    jsd_profile,
+    normalize,
+    partition_bands,
+    symbol_code,
+    tokenize,
+)
 from lettercorr.cli import main
 
 
@@ -371,3 +388,145 @@ def test_broken_pipe_exits_quietly(tmp_path, corpus_file):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""
+
+
+# The per-row bodies the one table writer replaced, kept as references. Each
+# takes the text a subcommand read and returns the body it printed under
+# the header, at the flags of BODY_CASES.
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".12g")
+
+
+def _walk_body(text) -> bytes:
+    names = ["a", "e"]
+    grid = default_k_grid(len(text), 20)
+    curves = [displacement(indicator(text, symbol_code(n)), grid) for n in names]
+    names.append("average")
+    curves.append(average_displacement(curves))
+    out = io.BytesIO()
+    for i, (name, curve) in enumerate(zip(names, curves)):
+        if i:
+            out.write(b"\n")
+        out.write(f"# letter: {name}\n".encode())
+        fit = fit_exponent(curve, 10, 1000)
+        out.write(f"# alpha: {_fmt(fit.alpha)}\n".encode())
+        out.write(f"# fit-range: {fit.k_min}:{fit.k_max}\n".encode())
+        out.write(f"# rms-residual: {_fmt(fit.rms_residual)}\n".encode())
+        if fit.excluded_zero:
+            out.write(f"# excluded-zero: {fit.excluded_zero}\n".encode())
+        out.write(b"k\tF\n")
+        for k, f in zip(curve.k, curve.f):
+            out.write(f"{int(k)}\t{_fmt(float(f))}\n".encode())
+    return out.getvalue()
+
+
+def _profile_body(text) -> bytes:
+    profile = jsd_profile(text, 5000)
+    out = io.BytesIO()
+    out.write(b"position\traw\tfluct\tnormalized\n")
+    for i in range(len(profile)):
+        out.write(
+            (
+                f"{int(profile.positions[i])}\t{_fmt(float(profile.raw[i]))}\t"
+                f"{_fmt(float(profile.fluct[i]))}\t{_fmt(float(profile.normalized[i]))}\n"
+            ).encode()
+        )
+    return out.getvalue()
+
+
+def _zipf_body(text) -> bytes:
+    # ranked from the words themselves, as the per-word lexicon entries were
+    counts = Counter(w.decode() for w in text.to_bytes().split())
+    total_letters = sum(c * len(w) for w, c in counts.items())
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    out = io.BytesIO()
+    out.write(b"rank\tword\tcount\tlength\tletter_share\n")
+    for rank, (w, c) in enumerate(ordered[:3], start=1):
+        share = c * len(w) / total_letters
+        out.write(f"{rank}\t{w}\t{c}\t{len(w)}\t{_fmt(share)}\n".encode())
+    return out.getvalue()
+
+
+def _bands_body(text) -> bytes:
+    partition = partition_bands(build_lexicon(tokenize(text)))
+    out = io.BytesIO()
+    out.write(b"band\trank_lo\trank_hi\tword_types\tletter_share\n")
+    for band in partition.bands:
+        out.write(
+            (
+                f"{band.index}\t{band.rank_lo}\t{band.rank_hi}\t"
+                f"{band.word_types}\t{_fmt(band.letter_share)}\n"
+            ).encode()
+        )
+    return out.getvalue()
+
+
+def _band_jsd_body(text, length: int) -> bytes:
+    lex = build_lexicon(tokenize(text))
+    report = band_jsd(text, lex, partition_bands(lex), length)
+    out = io.BytesIO()
+    out.write(b"band\trank_lo\trank_hi\tword_types\tpairs\tmean_normalized\tmean_letters\n")
+    for e in report.entries:
+        band = e.band
+        out.write(
+            (
+                f"{band.index}\t{band.rank_lo}\t{band.rank_hi}\t{band.word_types}\t"
+                f"{e.pair_count}\t{_fmt(e.mean_normalized)}\t{_fmt(e.mean_trials)}\n"
+            ).encode()
+        )
+    return out.getvalue()
+
+
+def _halves_body(text) -> bytes:
+    comp = compare_halves(text)
+    out = io.BytesIO()
+    out.write(b"word\tcount_first\tcount_second\tfreq_first\tfreq_second\trel_change\n")
+    for w in comp.words()[:50]:
+        out.write(
+            (
+                f"{w}\t{comp.first.get(w, 0)}\t{comp.second.get(w, 0)}\t"
+                f"{_fmt(comp.frequency(w, 1))}\t{_fmt(comp.frequency(w, 2))}\t"
+                f"{_fmt(comp.relative_change(w))}\n"
+            ).encode()
+        )
+    return out.getvalue()
+
+
+# argv, input text (None: the corpus file), reference body, and a cell the
+# body must hold; a dominant word leaves empty bands with no pairs (nan),
+# and words of the second half only have an infinite relative change
+BODY_CASES = {
+    "walk": (["walk", "-l", "a,e", "--average", "--fit", "10:1000"], None, _walk_body, None),
+    "jsd-profile": (["jsd-profile", "-L", 5000], None, _profile_body, None),
+    "zipf": (["zipf", "--top", 3], None, _zipf_body, None),
+    "bands": (["bands"], None, _bands_body, None),
+    "band-jsd": (["band-jsd", "-L", 10_000], None, lambda t: _band_jsd_body(t, 10_000), None),
+    "band-jsd-nan": (
+        ["band-jsd", "-L", 8],
+        "the the the the the the a b c the the the the the the the d e f\n",
+        lambda t: _band_jsd_body(t, 8),
+        b"\t0\tnan\tnan\n",
+    ),
+    "halves": (["halves"], None, _halves_body, None),
+    "halves-inf": (["halves"], "a b a b c d c d\n", _halves_body, b"\tinf\n"),
+}
+
+
+@pytest.mark.parametrize("case", BODY_CASES.values(), ids=BODY_CASES.keys())
+def test_table_bodies_match_the_per_row_writers(tmp_path, corpus_file, case):
+    argv, raw, reference, cell = case
+    src = corpus_file
+    if raw is not None:
+        src = tmp_path / "small.txt"
+        src.write_text(raw)
+    out = tmp_path / "out.tsv"
+    assert run(argv + ["--input", src, "--output", out]) == 0
+    expected = reference(normalize(src.read_bytes()))
+    data = out.read_bytes()
+    assert data.endswith(expected)
+    # all that precedes the body is '#' header lines
+    assert all(line.startswith(b"#") for line in data[: -len(expected)].splitlines())
+    if cell is not None:
+        assert cell in expected

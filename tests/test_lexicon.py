@@ -26,7 +26,7 @@ from lettercorr import (
     tokenize,
     zipf_fit,
 )
-from lettercorr.lexicon import BandJsdEntry, FrequencyLexicon, LexiconEntry
+from lettercorr.lexicon import Band, BandJsdEntry, BandPartition, FrequencyLexicon
 
 
 def _tokens(words) -> Tokens:
@@ -38,8 +38,13 @@ surrogates = st.lists(st.sampled_from("abc   "), max_size=300).map(
     lambda s: decode_symbols("".join(s).encode())
 )
 
+# texts of random words over all 26 letters, with runs of spaces
+word_texts = st.lists(st.sampled_from("abcdefghijklmnopqrstuvwxyz    "), max_size=600).map(
+    lambda s: decode_symbols("".join(s).encode())
+)
 
-# The paths the token table replaced, kept as references.
+
+# The paths the token table and the lexicon columns replaced, kept as references.
 
 
 def _regex_tokens(text: NormalizedText) -> list[tuple[str, int, int]]:
@@ -51,21 +56,49 @@ def _regex_tokens(text: NormalizedText) -> list[tuple[str, int, int]]:
 
 def _counter_lexicon(words: list[str]) -> FrequencyLexicon:
     counts = Counter(words)
-    total_letters = sum(c * len(w) for w, c in counts.items())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries = tuple(
-        LexiconEntry(
-            rank=i + 1, word=w, count=c, length=len(w), letter_share=c * len(w) / total_letters
-        )
-        for i, (w, c) in enumerate(ordered)
+    return FrequencyLexicon(
+        words=tuple(w for w, _ in ordered),
+        counts=np.array([c for _, c in ordered], dtype=np.int64),
+        lengths=np.array([len(w) for w, _ in ordered], dtype=np.int64),
+        total_letters=sum(c * len(w) for w, c in counts.items()),
     )
-    return FrequencyLexicon(entries=entries, total_letters=total_letters)
+
+
+def _scanned_partition(lex: FrequencyLexicon, band_count: int, share: float) -> BandPartition:
+    """partition_bands as a scan in rank order, as it was first computed."""
+    counts, lengths = lex.counts.tolist(), lex.lengths.tolist()
+    closes: list[int] = []
+    cum_letters = 0
+    for rank, (count, length) in enumerate(zip(counts, lengths), start=1):
+        cum_letters += count * length
+        while (
+            len(closes) < band_count - 1
+            and cum_letters >= (len(closes) + 1) * share * lex.total_letters - 1e-6
+        ):
+            closes.append(rank)
+
+    bounds: list[tuple[int, int]] = []
+    prev = 0
+    for c in closes:
+        bounds.append((prev + 1, c))
+        prev = c
+    while len(bounds) < band_count - 1:
+        bounds.append((prev + 1, prev))
+    bounds.append((prev + 1, len(lex)))
+
+    bands = []
+    for i, (lo, hi) in enumerate(bounds):
+        members = range(lo - 1, hi)  # empty when lo > hi
+        letters = sum(counts[j] * lengths[j] for j in members)
+        bands.append(Band(i + 1, lo, hi, len(members), letters / lex.total_letters))
+    return BandPartition(tuple(bands), share, any(b.word_types == 0 for b in bands))
 
 
 def _loop_band_filter(text: NormalizedText, lex: FrequencyLexicon, band) -> NormalizedText:
     keep = frozenset()
     if band.rank_lo <= band.rank_hi:
-        keep = frozenset(e.word for e in lex.entries[band.rank_lo - 1 : band.rank_hi])
+        keep = frozenset(lex.words[band.rank_lo - 1 : band.rank_hi])
     out = text.codes.copy()
     for word, start, length in _regex_tokens(text):
         if word not in keep:
@@ -126,16 +159,19 @@ def _iid_letter_text(n: int, seed: int) -> NormalizedText:
 
 def test_build_lexicon_orders_by_count_then_word():
     lex = build_lexicon(_tokens(["a", "a", "b"]))
-    assert [(e.rank, e.word, e.count) for e in lex.entries] == [(1, "a", 2), (2, "b", 1)]
+    # row i is rank i + 1
+    assert lex.words == ("a", "b")
+    assert lex.counts.tolist() == [2, 1] and lex.lengths.tolist() == [1, 1]
 
     tie = build_lexicon(_tokens(["b", "a"]))
-    assert [e.word for e in tie.entries] == ["a", "b"]
+    assert tie.words == ("a", "b")
 
 
 def test_lexicon_letter_shares_sum_to_one():
     lex = build_lexicon(_tokens(["whale", "whale", "sea", "a"]))
     assert lex.total_letters == 5 + 5 + 3 + 1
-    assert sum(e.letter_share for e in lex.entries) == pytest.approx(1.0, abs=1e-12)
+    assert lex.letter_shares.tolist() == [10 / 14, 1 / 14, 3 / 14]
+    assert lex.letter_shares.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="no tokens"):
         build_lexicon(_tokens([]))
 
@@ -144,7 +180,16 @@ def test_lexicon_letter_shares_sum_to_one():
 def test_build_lexicon_matches_the_counter_lexicon(text):
     words = [w for w, _, _ in _regex_tokens(text)]
     assume(words)
-    assert build_lexicon(tokenize(text)) == _counter_lexicon(words)
+    # == on the dataclass would compare the arrays by identity, so compare columns
+    got, want = build_lexicon(tokenize(text)), _counter_lexicon(words)
+    assert got.words == want.words
+    assert got.counts.dtype == got.lengths.dtype == np.int64
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.lengths, want.lengths)
+    assert got.total_letters == want.total_letters
+    # the shares the rank loop took as c * len(w) / total_letters in Python ints
+    shares = [c * len(w) / want.total_letters for w, c in zip(want.words, want.counts.tolist())]
+    assert [x.hex() for x in got.letter_shares.tolist()] == [x.hex() for x in shares]
 
 
 def test_zipf_fit_recovers_exact_exponents():
@@ -156,11 +201,12 @@ def test_zipf_fit_recovers_exact_exponents():
     assert zipf_fit(build_lexicon(_tokens(stream)), 1, 12) == pytest.approx(-1.0, abs=1e-9)
 
     # inverse-square counts, built directly
-    entries = tuple(
-        LexiconEntry(rank=k, word=words[k - 1], count=(27720 // k) ** 2, length=2, letter_share=0.0)
-        for k in range(1, 13)
+    lex = FrequencyLexicon(
+        words=tuple(words),
+        counts=np.array([(27720 // k) ** 2 for k in range(1, 13)], dtype=np.int64),
+        lengths=np.full(12, 2, dtype=np.int64),
+        total_letters=1,
     )
-    lex = FrequencyLexicon(entries=entries, total_letters=1)
     assert zipf_fit(lex, 1, 12) == pytest.approx(-2.0, abs=1e-9)
 
 
@@ -206,6 +252,31 @@ def test_partition_covers_lexicon_and_shares():
     assert hi == len(lex)
 
 
+def test_partition_targets_tolerate_float_rounding():
+    # 3 * 0.1 * 10 rounds to 3.0000000000000004; the third band still closes
+    # at the word that brings the cumulative letter count to exactly 3
+    lex = build_lexicon(_tokens(list("abcdefghij")))
+    part = partition_bands(lex, 4, 0.1)
+    assert [(b.rank_lo, b.rank_hi) for b in part.bands] == [(1, 1), (2, 2), (3, 3), (4, 10)]
+    assert part.bands == _scanned_partition(lex, 4, 0.1).bands
+
+
+@given(st.one_of(surrogates, word_texts), st.data())
+def test_partition_bands_matches_the_rank_order_scan(text, data):
+    assume(len(tokenize(text)))
+    lex = build_lexicon(tokenize(text))
+    band_count = data.draw(st.integers(1, 9), label="band_count")
+    # count x share may pass 1, leaving targets no word reaches
+    share = data.draw(st.sampled_from([1 / band_count, 0.1, 0.5, 1.0]), label="target_share")
+    got, want = partition_bands(lex, band_count, share), _scanned_partition(lex, band_count, share)
+    assert got.degenerate == want.degenerate
+    assert got.target_share == want.target_share
+    assert [(b.index, b.rank_lo, b.rank_hi, b.word_types) for b in got.bands] == [
+        (b.index, b.rank_lo, b.rank_hi, b.word_types) for b in want.bands
+    ]
+    assert [b.letter_share.hex() for b in got.bands] == [b.letter_share.hex() for b in want.bands]
+
+
 def test_band_filter_whole_lexicon_is_identity():
     text = normalize("the whale sees the sea")
     lex = build_lexicon(tokenize(text))
@@ -232,9 +303,7 @@ def test_band_filter_letter_accounting():
         filtered = band_filter_text(text, lex, band)
         assert len(filtered) == len(text)
         counts = np.bincount(filtered.codes, minlength=27)[:26]
-        expected = sum(
-            e.count * e.length for e in lex.entries[band.rank_lo - 1 : band.rank_hi]
-        )
+        expected = (lex.counts * lex.lengths)[band.rank_lo - 1 : band.rank_hi].sum()
         assert counts.sum() == expected
         total += counts
     # the five filtered texts partition the original letter counts exactly
@@ -268,12 +337,6 @@ def test_band_jsd_homogeneous_text_sits_at_fluctuation_level():
 
 def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
-
-
-# texts of random words over all 26 letters, with runs of spaces
-word_texts = st.lists(st.sampled_from("abcdefghijklmnopqrstuvwxyz    "), max_size=600).map(
-    lambda s: decode_symbols("".join(s).encode())
-)
 
 
 @given(
@@ -380,7 +443,7 @@ def test_moby_dick_zipf_exponent_near_minus_one(moby_text):
 
 def test_moby_dick_content_words_rank_high(moby_text):
     lex = build_lexicon(tokenize(moby_text))
-    top100 = {e.word for e in lex.entries[:100]}
+    top100 = set(lex.words[:100])
     assert "whale" in top100
 
 
