@@ -17,11 +17,15 @@ body, and replaces a file output only when the whole run succeeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shlex
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from typing import IO, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .divergence import jsd_profile
 from .lexicon import band_jsd, build_lexicon, compare_halves, partition_bands, zipf_fit
@@ -60,12 +64,19 @@ def _fmt(value: float) -> str:
 
 def _write_table(out: IO[bytes], names: Sequence[str], *columns: Iterable[object]) -> None:
     """Write a header row of ``names``, then one tab-separated row per
-    position of the parallel ``columns``, one row at a time. Floats go
-    through ``_fmt``, everything else through ``str``."""
+    position of the parallel ``columns``, one row at a time. Floats are
+    formatted as by ``_fmt``, everything else as by ``str``; each column
+    holds one cell type, so the first row's types set the format of all.
+    Numeric arrays are read through a memoryview, whose cells are Python
+    ints and floats, with no copy."""
     out.write(("\t".join(names) + "\n").encode())
-    for row in zip(*columns):
-        cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
-        out.write(("\t".join(cells) + "\n").encode())
+    rows = zip(*[memoryview(c) if isinstance(c, np.ndarray) else c for c in columns])
+    first = next(rows, None)
+    if first is None:
+        return
+    row_format = "\t".join("%.12g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    for row in chain((first,), rows):
+        out.write((row_format % row).encode())
 
 
 @contextmanager
@@ -499,8 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing never changes the parser, so one serves every call of main
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         params, write_body = args.func(args)

@@ -34,8 +34,8 @@ def window_shuffle(text: NormalizedText, window: int, seed: int) -> NormalizedTe
     boundaries, never wrapped, so a window of 2N or more degenerates to
     iid draws from the whole text (and is drawn as a window of 2N). Local
     letter frequencies survive in expectation; everything else is
-    destroyed. Positions are drawn in blocks, so besides the output the
-    draw holds only the picked indices, 8 bytes a symbol.
+    destroyed. Positions are drawn and their symbols gathered in blocks,
+    so besides the output the draw holds one block of picked indices.
     """
     n = len(text)
     if n == 0:
@@ -47,7 +47,7 @@ def window_shuffle(text: NormalizedText, window: int, seed: int) -> NormalizedTe
     window = min(window, 2 * n)
     back, ahead = window // 2 - 1, (window + 1) // 2
     rng = _rng(seed)
-    picks = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.uint8)
     # numpy draws element by element alike for scalar and array bounds,
     # so blocks of positions give the same picks as one call over all;
     # only blocks that reach a text boundary need per-position bounds
@@ -58,11 +58,12 @@ def window_shuffle(text: NormalizedText, window: int, seed: int) -> NormalizedTe
             hi = lo + (window - 1)
             np.maximum(lo, 0, out=lo)
             np.minimum(hi, n, out=hi)
-            picks[a:b] = rng.integers(lo, hi)
+            picks = rng.integers(lo, hi)
         else:
-            picks[a:b] = rng.integers(0, window - 1, size=b - a)
-            picks[a:b] += lo
-    return NormalizedText(text.codes[picks])
+            picks = rng.integers(0, window - 1, size=b - a)
+            picks += lo
+        out[a:b] = text.codes[picks]
+    return NormalizedText(out)
 
 
 def window_permute(text: NormalizedText, window: int, seed: int) -> NormalizedText:
@@ -71,7 +72,9 @@ def window_permute(text: NormalizedText, window: int, seed: int) -> NormalizedTe
     The last block may be shorter. Unlike :func:`window_shuffle` this
     preserves the global letter histogram exactly, which makes it the
     control of choice for exact-invariant assertions. ``window=1`` is the
-    identity.
+    identity. The full blocks are shuffled by one ``Generator.permuted``
+    call over their rows, which draws exactly as one ``Generator.shuffle``
+    per block in turn would, so the short tail is shuffled last.
     """
     n = len(text)
     if n == 0:
@@ -82,8 +85,10 @@ def window_permute(text: NormalizedText, window: int, seed: int) -> NormalizedTe
         raise ValueError(f"window {window} exceeds text length {n}")
     rng = _rng(seed)
     out = text.codes.copy()
-    for start in range(0, n, window):
-        rng.shuffle(out[start : start + window])
+    full = n - n % window
+    blocks = out[:full].reshape(-1, window)
+    rng.permuted(blocks, axis=1, out=blocks)
+    rng.shuffle(out[full:])
     return NormalizedText(out)
 
 

@@ -16,13 +16,17 @@ SPACE = 26
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 ALPHABET_SIZE = 27
 
-# byte value -> symbol code; ASCII letters fold case, everything else
-# (including every byte of a multibyte character) becomes the space code
-_BYTE_TO_CODE = np.full(256, SPACE, dtype=np.uint8)
-_BYTE_TO_CODE[np.arange(ord("a"), ord("z") + 1)] = np.arange(26, dtype=np.uint8)
-_BYTE_TO_CODE[np.arange(ord("A"), ord("Z") + 1)] = np.arange(26, dtype=np.uint8)
-
-_CODE_TO_BYTE = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
+# bytes.translate tables, indexed by byte value. _BYTE_TO_CODE: ASCII
+# letters fold case, everything else (including every byte of a multibyte
+# character) becomes the space code. _SYMBOL_TO_CODE: 'a'..'z' and ' '
+# only, every other byte becomes 255. _CODE_TO_BYTE: codes 0..26 to
+# their ASCII bytes.
+_BYTE_TO_CODE = bytes(
+    ALPHABET.index(chr(c).lower()) if chr(c).isascii() and chr(c).isalpha() else SPACE
+    for c in range(256)
+)
+_SYMBOL_TO_CODE = bytes(ALPHABET.index(chr(c)) if chr(c) in ALPHABET else 255 for c in range(256))
+_CODE_TO_BYTE = ALPHABET.encode("ascii").ljust(256, b" ")
 
 # byte-level table for the streaming path: fold A-Z, pass a-z, rest -> space
 _STREAM_TABLE = bytes(
@@ -84,7 +88,7 @@ class NormalizedText:
 
     def to_bytes(self) -> bytes:
         """One ASCII byte per symbol."""
-        return _CODE_TO_BYTE[self.codes].tobytes()
+        return self.codes.tobytes().translate(_CODE_TO_BYTE)
 
     def render(self) -> str:
         return self.to_bytes().decode("ascii")
@@ -135,7 +139,7 @@ def normalize(raw: str | bytes, *, trim: bool = False) -> NormalizedText:
         data = raw.encode("utf-8", errors="replace")
     else:
         data = bytes(raw)
-    codes = _BYTE_TO_CODE[np.frombuffer(data, dtype=np.uint8)]
+    codes = np.frombuffer(data.translate(_BYTE_TO_CODE), dtype=np.uint8)
     text = NormalizedText(_collapse_spaces(codes, SPACE))
     return text.trimmed() if trim else text
 
@@ -189,15 +193,14 @@ def decode_symbols(data: bytes, *, start: int = 0) -> NormalizedText:
     round trip through a file. Bytes outside 'a'..'z' and ' ' are an
     error, reported at their offset in ``data``.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)[start:]
-    valid = ((buf >= ord("a")) & (buf <= ord("z"))) | (buf == ord(" "))
-    if not np.all(valid):
-        offset = int(np.argmin(valid))
+    codes = np.frombuffer(bytes(data).translate(_SYMBOL_TO_CODE), dtype=np.uint8, offset=start)
+    if codes.size and codes.max() > SPACE:
+        offset = start + int(np.argmax(codes > SPACE))
         raise ValueError(
-            f"invalid symbol byte 0x{buf[offset]:02x} at offset {start + offset} "
+            f"invalid symbol byte 0x{data[offset]:02x} at offset {offset} "
             "(expected 'a'..'z' or ' ')"
         )
-    return NormalizedText(_BYTE_TO_CODE[buf])
+    return NormalizedText(codes)
 
 
 def tokenize(text: NormalizedText) -> Tokens:

@@ -29,6 +29,10 @@ _FLOAT_EXACT = (1 << 53) - 1
 # rows for N = 8e6); no measured text has a symbol frequent enough to
 # fall below it, and BLAS threading may move it
 _FLOAT_MIN_ROWS = 12_000
+# chunks whose moments displacement reads per gather: enough to take every
+# k of a text of a few million symbols at once, and few enough that the
+# per-chunk bookkeeping (some 400 bytes each) stays small at any N
+_BATCH_CHUNKS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +140,9 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
     Memory is one word per symbol, the prefix P, plus three per one:
     the positions, R1 and R2. The positions are freed before P is built,
     so the peak is max(3 n1, N + 2 n1) words, at most three per symbol.
+    The chunks of consecutive ks are read in batches of about
+    ``_BATCH_CHUNKS`` chunks (or one k's, if it has more), with one gather
+    of Q1 and Q2 per batch; the bookkeeping takes about 400 bytes a chunk.
     """
     bits = series.bits
     n = bits.size
@@ -175,30 +182,46 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
     prefix[1:] = bits
     np.cumsum(prefix, out=prefix)
 
-    f = np.empty(ks.size, dtype=np.float64)
+    f = []
+    chunks: list[tuple[int, int, int]] = []
+    ends = []
     for j, k in enumerate(ks.tolist()):
         m = n - k + 1
         rows = min(_WRAP_MASK // (k * k), dot_rows)
-        edges = np.append(np.arange(0, m, rows), m)
-        # Q1 and Q2 at every chunk edge and k past it, from one gather
-        x = np.concatenate((edges, edges + k))
-        c = prefix[np.minimum(x, n)].astype(np.int64)
-        xc = x * c
-        q1 = xc - r1[c]
-        q2 = xc * c - r2[c]
-        # per chunk, S1 and the sum of squares lie in [0, 2**64), so their
-        # residues read as uint64 are the values themselves
-        cut = edges.size
-        s1 = np.diff(q1[cut:]) - np.diff(q1[:cut])
-        squares = np.diff(q2[cut:]) + np.diff(q2[:cut])
-        bounds = edges.tolist()
-        s2 = 0
-        for a, b, square in zip(bounds, bounds[1:], squares.view(np.uint64).tolist()):
-            cross = int(np.dot(prefix[a + k : b + k], prefix[a:b]))
-            s2 += (square - 2 * cross) & _WRAP_MASK
-        s1 = sum(s1.view(np.uint64).tolist())
-        f[j] = (m * s2 - s1 * s1) / (m * m)
-    return DisplacementCurve(k=ks, f=f, n=n)
+        chunks += [(a, min(a + rows, m), k) for a in range(0, m, rows)]
+        ends.append(len(chunks))
+        if len(chunks) >= _BATCH_CHUNKS or j == ks.size - 1:
+            s1, s2 = _chunk_moments(prefix, r1, r2, chunks)
+            for lo, hi in zip([0, *ends], ends):
+                m = n - chunks[lo][2] + 1
+                s1_k, s2_k = sum(s1[lo:hi]), sum(s2[lo:hi])
+                f.append((m * s2_k - s1_k * s1_k) / (m * m))
+            chunks, ends = [], []
+    return DisplacementCurve(k=ks, f=np.array(f), n=n)
+
+
+def _chunk_moments(
+    prefix: np.ndarray, r1: np.ndarray, r2: np.ndarray, chunks: list[tuple[int, int, int]]
+) -> tuple[list[int], list[int]]:
+    """S1 and S2 of the window sums of each chunk (a, b, k): the windows
+    of length k that start at rows a..b-1. Q1 and Q2 at a, b, a + k and
+    b + k of every chunk come from one gather, then one dot per chunk."""
+    n = prefix.size - 1
+    starts, stops, lags = np.array(chunks, dtype=np.int64).T
+    x = np.concatenate((starts, stops, starts + lags, stops + lags))
+    c = prefix[np.minimum(x, n)].astype(np.int64)
+    xc = x * c
+    q1 = (xc - r1[c]).reshape(4, -1)
+    q2 = (xc * c - r2[c]).reshape(4, -1)
+    # per chunk, S1 and the sum of squares lie in [0, 2**64), so their
+    # residues read as uint64 are the values themselves
+    s1 = (q1[3] - q1[2] - q1[1] + q1[0]).view(np.uint64).tolist()
+    squares = (q2[3] - q2[2] + q2[1] - q2[0]).view(np.uint64).tolist()
+    s2 = [
+        (square - 2 * int(np.dot(prefix[a + k : b + k], prefix[a:b]))) & _WRAP_MASK
+        for (a, b, k), square in zip(chunks, squares)
+    ]
+    return s1, s2
 
 
 def fit_exponent(curve: DisplacementCurve, k_min: int, k_max: int) -> ScalingFit:

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import shlex
 import stat
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lettercorr
 from lettercorr import (
@@ -28,6 +31,7 @@ from lettercorr import (
     symbol_code,
     tokenize,
 )
+from lettercorr import cli
 from lettercorr.cli import main
 
 
@@ -530,3 +534,123 @@ def test_table_bodies_match_the_per_row_writers(tmp_path, corpus_file, case):
     assert all(line.startswith(b"#") for line in data[: -len(expected)].splitlines())
     if cell is not None:
         assert cell in expected
+
+
+def _write_table_per_cell(out, names, *columns) -> None:
+    # the writer that formatted cell by cell, kept as the reference
+    out.write(("\t".join(names) + "\n").encode())
+    for row in zip(*columns):
+        cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
+        out.write(("\t".join(cells) + "\n").encode())
+
+
+def _table_bytes(writer, names, columns) -> bytes:
+    out = io.BytesIO()
+    writer(out, names, *columns)
+    return out.getvalue()
+
+
+_SPECIAL_FLOATS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 1e300, 5e-324, 1.0, 1 / 3]
+
+
+@given(
+    st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)), max_size=60),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60),
+    st.integers(1, 3),
+)
+def test_table_writer_matches_the_per_cell_writer(floats, ints, stride):
+    rows = min(len(floats), len(ints))
+    # strided slices of wider arrays read as non-contiguous columns
+    f = np.repeat(np.array(floats[:rows], dtype=np.float64), stride)[::stride]
+    i = np.repeat(np.array(ints[:rows], dtype=np.int64), stride)[::stride]
+    words = tuple(f"w{j}" for j in range(rows))
+    names = ("rank", "f", "i", "word", "generated", "contiguous")
+
+    def columns():  # afresh for each writer, which consumes the generator
+        generated = (float(x) for x in floats[:rows])
+        return range(1, rows + 1), f, i, words, generated, np.ascontiguousarray(f)
+
+    want = _table_bytes(_write_table_per_cell, names, columns())
+    assert _table_bytes(cli._write_table, names, columns()) == want
+
+
+def test_table_writer_special_values_and_an_empty_table():
+    values = np.array(_SPECIAL_FLOATS)
+    got = _table_bytes(cli._write_table, ("x", "n"), (values, np.arange(values.size)))
+    assert got == _table_bytes(_write_table_per_cell, ("x", "n"), (values, range(values.size)))
+    assert got.splitlines()[1:5] == [b"inf\t0", b"-inf\t1", b"nan\t2", b"-0\t3"]
+    assert _table_bytes(cli._write_table, ("a", "b"), (np.empty(0), ())) == b"a\tb\n"
+
+
+def test_every_cli_table_column_holds_one_cell_type(tmp_path, corpus_file, monkeypatch):
+    # the table writer formats a whole column as its first cell, so every
+    # column of every table the CLI writes must hold cells of one type
+    tables = []
+
+    def recording(out, names, *columns):
+        columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+        tables.append((names, columns))
+        real(out, names, *columns)
+
+    real = cli._write_table
+    monkeypatch.setattr(cli, "_write_table", recording)
+    cases = [case[0] for case in BODY_CASES.values()] + [["zipf"], ["halves", "--top", 0]]
+    for argv in cases:
+        assert run(argv + ["--input", corpus_file, "--output", tmp_path / "out"]) == 0
+    assert {names[0] for names, _ in tables} == {"k", "position", "rank", "band", "word"}
+    for names, columns in tables:
+        for name, column in zip(names, columns):
+            if isinstance(column, np.ndarray):
+                # read through a memoryview, as Python ints or floats
+                assert column.dtype.kind in "iuf", f"column {name} of {names} is {column.dtype}"
+            else:
+                kinds = {type(v) for v in column}
+                assert len(kinds) == 1, f"column {name} of {names} holds {kinds}"
+
+
+# several runs in one process, as the benchmark's child makes them: each run
+# must print what it prints alone in a fresh interpreter
+REUSE_CASES = [
+    ["walk", "-l", "a", "-l", "e,space", "--fit", "10:1000"],
+    ["shuffle", "--mode", "window-permute", "--window", 30, "--seed", 3],
+    ["halves", "--top", 5, "--ratio", "whale:sea", "--ratio", "ship:man"],
+    ["walk", "-l", "e"],
+    FAILING_WALK,
+    ["shuffle", "--mode", "letter"],  # seeded from the environment
+    ["halves", "--top", 5, "--ratio", "sea:man"],
+    ["shuffle", "--mode", "letter", "--seed", 8],  # the flag beats the environment
+    ["walk", "-l", "e"],
+]
+
+
+def test_repeated_main_calls_in_one_process_match_fresh_processes(
+    tmp_path, corpus_file, monkeypatch
+):
+    monkeypatch.setenv(cli.SEED_ENV, "5")
+    argvs = [
+        [str(a) for a in argv] + ["--input", str(corpus_file), "--output", str(tmp_path / f"{i}")]
+        for i, argv in enumerate(REUSE_CASES)
+    ]
+    codes = [main(argv) for argv in argvs]
+    assert codes == [1 if argv == FAILING_WALK else 0 for argv in REUSE_CASES]
+    script = (
+        "import json, sys; from lettercorr.cli import main; "
+        "sys.exit(main(json.loads(sys.argv[1])))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), cli.SEED_ENV: "5"}
+    for i, (argv, code) in enumerate(zip(argvs, codes)):
+        once = tmp_path / f"{i}.fresh"
+        argv[-1] = str(once)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)], env=env, capture_output=True
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert once.read_bytes() == (tmp_path / f"{i}").read_bytes()
+        else:
+            assert not once.exists() and not (tmp_path / f"{i}").exists()
+    # the repeated append flags were not carried from one run to the next
+    assert _replay_line(tmp_path / "6")[-2:] == ["--ratio", "sea:man"]
+    assert _replay_line(tmp_path / "3") == [
+        "walk", "--input", str(corpus_file), "--letter", "e", "--points-per-decade", "20",
+    ]

@@ -185,6 +185,87 @@ def test_decode_symbols_round_trips_repeated_spaces():
         decode_symbols(b"# x\nabA z", start=4)
 
 
+# The byte maps the bytes.translate tables replaced, kept as references:
+# fancy-index gathers through 256-entry code arrays.
+_GATHER_CODE = np.full(256, SPACE, dtype=np.uint8)
+_GATHER_CODE[ord("a") : ord("z") + 1] = np.arange(26)
+_GATHER_CODE[ord("A") : ord("Z") + 1] = np.arange(26)
+_GATHER_BYTE = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz ", dtype=np.uint8)
+
+
+def _normalize_by_gather(data: bytes) -> np.ndarray:
+    codes = _GATHER_CODE[np.frombuffer(data, dtype=np.uint8)]
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = ~((codes[1:] == SPACE) & (codes[:-1] == SPACE))
+    return codes[keep]
+
+
+def _decode_by_gather(data: bytes, start: int) -> np.ndarray | str:
+    """The codes, or the error message of the first invalid byte."""
+    buf = np.frombuffer(data, dtype=np.uint8)[start:]
+    valid = ((buf >= ord("a")) & (buf <= ord("z"))) | (buf == ord(" "))
+    if not np.all(valid):
+        offset = int(np.argmin(valid))
+        return (
+            f"invalid symbol byte 0x{buf[offset]:02x} at offset {start + offset} "
+            "(expected 'a'..'z' or ' ')"
+        )
+    return _GATHER_CODE[buf]
+
+
+@given(st.binary(max_size=600))
+def test_normalize_matches_the_byte_gather(data):
+    assert np.array_equal(normalize(data).codes, _normalize_by_gather(data))
+
+
+@given(st.binary(max_size=600), st.data())
+def test_decode_symbols_matches_the_byte_gather(data, draw):
+    # arbitrary bytes (mostly invalid), and valid symbols with one byte of
+    # any value planted at any offset after the start
+    symbols = draw.draw(st.lists(st.sampled_from(b"abcdefghijklmnopqrstuvwxyz "), max_size=300))
+    planted = bytearray(symbols)
+    if planted:
+        planted[draw.draw(st.integers(0, len(planted) - 1))] = draw.draw(st.integers(0, 255))
+    for buf in (data, bytes(symbols), bytes(planted)):
+        start = draw.draw(st.integers(0, len(buf)))
+        want = _decode_by_gather(buf, start)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as info:
+                decode_symbols(buf, start=start)
+            assert str(info.value) == want
+        else:
+            assert np.array_equal(decode_symbols(buf, start=start).codes, want)
+
+
+_HEADER = b"# lettercorr shuffle\n# replay: shuffle --seed 1\n"
+
+
+@pytest.mark.parametrize(
+    "data, start, bad, offset",
+    [
+        (b"Xab z", 0, 0x58, 0),  # first
+        (b"ab z.", 0, 0x2E, 4),  # last
+        (_HEADER + b"\tab", len(_HEADER), 0x09, len(_HEADER)),  # just after a header
+        (_HEADER + b"ab zQ", len(_HEADER), 0x51, len(_HEADER) + 4),  # uppercase
+        ("ab \u00e9 z".encode(), 0, 0xC3, 3),  # the first byte of a multibyte character
+        (b"abc\xff", 0, 0xFF, 3),
+        (b"abc\x80", 1, 0x80, 3),
+    ],
+)
+def test_decode_symbols_reports_the_first_bad_byte_at_its_offset(data, start, bad, offset):
+    message = f"invalid symbol byte 0x{bad:02x} at offset {offset} (expected 'a'..'z' or ' ')"
+    assert _decode_by_gather(data, start) == message
+    with pytest.raises(ValueError) as info:
+        decode_symbols(data, start=start)
+    assert str(info.value) == message
+
+
+@given(st.lists(st.integers(0, SPACE), max_size=500))
+def test_to_bytes_matches_the_code_gather(codes):
+    text = NormalizedText(np.array(codes, dtype=np.uint8))
+    assert text.to_bytes() == _GATHER_BYTE[text.codes].tobytes()
+
+
 def test_trimmed_strips_spaces_only_at_ends():
     t = normalize(".a b.")
     assert t.render() == " a b "

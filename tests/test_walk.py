@@ -153,7 +153,9 @@ def test_float_chunks_match_the_uint64_kernel(case, data):
     # a small float64 bound puts chunk seams inside short sequences; a
     # minimum above the resulting rows sends the walk down the uint64
     # path. The kernel reads Q1 and Q2 from the ones' positions, at every
-    # chunk edge of a k in one gather; the reference keeps them dense
+    # chunk edge of a batch of ks in one gather, and small batches end
+    # anywhere from inside the first k's chunks to after the last k; the
+    # reference keeps them dense and takes one k at a time
     bits, k = case
     n = len(bits)
     ks = sorted(data.draw(st.sets(st.integers(1, n // 4), max_size=5)) | {k, n // 4})
@@ -161,7 +163,10 @@ def test_float_chunks_match_the_uint64_kernel(case, data):
     rows = data.draw(st.integers(1, n))
     bound = rows * square + data.draw(st.integers(0, square - 1))
     min_rows = data.draw(st.integers(0, n + 1))
-    with mock.patch.multiple(walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows):
+    batch = data.draw(st.integers(1, 2 * n))
+    with mock.patch.multiple(
+        walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows, _BATCH_CHUNKS=batch
+    ):
         got = displacement(_series(bits), ks).f
     assert got.tolist() == uint64_displacement(np.array(bits, dtype=np.uint8), ks).tolist()
 
@@ -214,6 +219,19 @@ def test_displacement_memory_is_one_word_per_symbol_plus_three_per_one():
     ones = _series(np.ones(1_000_000, dtype=np.uint8))
     peak = _peak_bytes(ones, [1, 10, 1000, 250_000])
     assert peak <= 24.5 * 1_000_000, f"{peak / 1e6:.2f} bytes per symbol"
+
+
+def test_chunk_bookkeeping_is_bounded_by_the_batches():
+    # a float64 bound of 2,000 rows cuts the grid's windows into some
+    # 50,000 chunks, about 400 bytes each if read all at once (20 bytes a
+    # symbol); batches hold it to about 2 bytes a symbol here, over the
+    # walk's 12.8 at p = 0.3
+    n = 1_000_000
+    bits = (np.random.default_rng(1).random(n) < 0.3).astype(np.uint8)
+    ones = int(bits.sum())
+    with mock.patch.multiple(walk, _FLOAT_EXACT=2000 * ones * ones, _FLOAT_MIN_ROWS=0):
+        peak = _peak_bytes(_series(bits), default_k_grid(n))
+    assert peak <= 17 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_windows_past_the_uint64_bound_are_summed_in_chunks():
