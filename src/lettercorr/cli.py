@@ -220,6 +220,13 @@ def _parse_letters(values: list[str]) -> list[int]:
     return codes
 
 
+def _top_rows(args: argparse.Namespace, rows: int) -> int:
+    """The number of rows ``--top`` asks for; 0 asks for all ``rows``."""
+    if args.top < 0:
+        raise ValueError(f"--top must not be negative, got {args.top}")
+    return args.top or rows
+
+
 def cmd_normalize(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     def body(out: IO[bytes]) -> None:
         with _open_input(args.input) as src:
@@ -335,7 +342,7 @@ def cmd_zipf(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     if fit_range:
         params["zipf-exponent"] = _fmt(zipf_fit(lex, *fit_range))
         params["fit-range"] = args.fit
-    limit = args.top if args.top > 0 else len(lex)
+    limit = _top_rows(args, len(lex))
 
     def body(out: IO[bytes]) -> None:
         _write_table(
@@ -407,16 +414,14 @@ def cmd_halves(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
             f"first={_fmt(comp.count_ratio(numer, denom, 1))} "
             f"second={_fmt(comp.count_ratio(numer, denom, 2))}"
         )
-    words = comp.words()
-    if args.top > 0:
-        words = words[: args.top]
+    limit = _top_rows(args, len(comp.words))
+    freq_first, freq_second = comp.frequencies
 
     def body(out: IO[bytes]) -> None:
         _write_table(
             out, ("word", "count_first", "count_second", "freq_first", "freq_second", "rel_change"),
-            words, (comp.first.get(w, 0) for w in words), (comp.second.get(w, 0) for w in words),
-            (comp.frequency(w, 1) for w in words), (comp.frequency(w, 2) for w in words),
-            map(comp.relative_change, words),
+            comp.words[:limit], comp.first[:limit], comp.second[:limit], freq_first[:limit],
+            freq_second[:limit], comp.relative_change[:limit],
         )
 
     return params, body

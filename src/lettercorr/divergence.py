@@ -15,7 +15,6 @@ array and return an array; one row kernel serves them and the profiles.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,15 +112,19 @@ def _pair_stats(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
 _CHUNK_PAIRS, _CHUNK_SPAN = 1024, 1 << 18
 
 
-def _segment_counts(codes: np.ndarray, length: int, starts: range, n_symbols: int) -> Iterator:
-    """Symbol counts of the segment pairs ``[s, s + length)``, ``[s + length,
-    s + 2 * length)`` for s in ``starts``, a chunk of pairs at a time.
+def _segment_pairs(
+    codes: np.ndarray, length: int, starts: range, n_symbols: int
+) -> tuple[np.ndarray, ...]:
+    """Scores of the segment pairs ``[s, s + length)``, ``[s + length,
+    s + 2 * length)`` for s in ``starts`` over the first ``n_symbols`` codes.
 
-    A chunk's span is cut at every segment edge; the cumulative sum of one
-    bincount over the blocks between edges gives each segment's counts as
-    a difference of two rows. Yields the left starts and ``(pairs x
-    n_symbols)`` left and right counts of the pairs with no empty segment.
+    Pairs are counted a chunk at a time. A chunk's span is cut at every
+    segment edge; the cumulative sum of one bincount over the blocks
+    between edges gives each segment's counts as a difference of two rows.
+    Returns the left starts of the pairs with no empty segment, then their
+    ``_pair_stats`` columns.
     """
+    chunks = []
     size = max(1, min(_CHUNK_PAIRS, _CHUNK_SPAN // starts.step))
     for i in range(0, len(starts), size):
         chunk = starts[i : i + size]
@@ -136,7 +139,8 @@ def _segment_counts(codes: np.ndarray, length: int, starts: range, n_symbols: in
         start, mid, end = np.searchsorted(edges, bounds)
         left, right = cum[mid] - cum[start], cum[end] - cum[mid]
         counted = left.any(axis=1) & right.any(axis=1)
-        yield lefts[counted], left[counted], right[counted]
+        chunks.append((lefts[counted], *_pair_stats(left[counted], right[counted])))
+    return tuple(np.concatenate(c) for c in zip(*chunks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +196,9 @@ def jsd_profile(
 
     starts = range(0, n - 2 * length + 1, step)
     n_symbols = ALPHABET_SIZE if include_space else SPACE
-    chunks = [
-        (lefts + length, *_pair_stats(left, right))
-        for lefts, left, right in _segment_counts(text.codes, length, starts, n_symbols)
-    ]
-    positions, raw, fluct, support, trials = (np.concatenate(c) for c in zip(*chunks))
+    lefts, raw, fluct, support, trials = _segment_pairs(text.codes, length, starts, n_symbols)
     return JsdProfile(
-        positions=positions,
+        positions=lefts + length,
         raw=raw,
         fluct=fluct,
         normalized=np.divide(raw, fluct, out=np.zeros_like(raw), where=support > 1),

@@ -11,13 +11,12 @@ drift at the level of individual words.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import _pair_stats, _segment_counts
+from .divergence import _segment_pairs
 from .textnorm import SPACE, NormalizedText, Tokens, tokenize
 
 
@@ -88,18 +87,24 @@ class VarianceModel(NamedTuple):
     relative_sd: float
 
 
-def build_lexicon(tokens: Tokens) -> FrequencyLexicon:
-    """Rank word types by decreasing count; rank 1 is the most frequent."""
-    if not len(tokens):
-        raise ValueError("no tokens to rank")
+def _rank_order(tokens: Tokens) -> tuple[tuple[str, ...], np.ndarray, list[int]]:
+    """The word types by decreasing count, ties broken alphabetically: the
+    words, their counts, and their indices into ``tokens.vocab``."""
     vocab = tokens.vocab
     counts = np.bincount(tokens.types, minlength=len(vocab))
     per_type = counts.tolist()
     order = sorted(range(len(vocab)), key=lambda t: (-per_type[t], vocab[t]))
-    words = tuple(vocab[t] for t in order)
+    return tuple(vocab[t] for t in order), counts[order], order
+
+
+def build_lexicon(tokens: Tokens) -> FrequencyLexicon:
+    """Rank word types by decreasing count; rank 1 is the most frequent."""
+    if not len(tokens):
+        raise ValueError("no tokens to rank")
+    words, counts, _ = _rank_order(tokens)
     return FrequencyLexicon(
         words=words,
-        counts=counts[order],
+        counts=counts,
         lengths=np.array([len(w) for w in words], dtype=np.int64),
         total_letters=int(tokens.lengths.sum()),
     )
@@ -210,9 +215,7 @@ def band_jsd(
     entries = []
     for band in partition.bands:
         codes = band_filter_text(text, lex, band, tokens).codes
-        pairs = _segment_counts(codes, length, starts, SPACE)
-        chunks = [_pair_stats(left, right) for _, left, right in pairs]
-        raw, level, support, trials = (np.concatenate(c) for c in zip(*chunks))
+        _, raw, level, support, trials = _segment_pairs(codes, length, starts, SPACE)
         scored = support > 1
         norm = raw[scored] / level[scored]
         entries.append(
@@ -226,42 +229,43 @@ def band_jsd(
     return BandJsdReport(entries=tuple(entries), segment_length=length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfComparison:
-    """Word counts for the two halves of a text, split at a token boundary."""
+    """Word counts for the two halves of a text, split at a token boundary.
 
-    first: dict[str, int]
-    second: dict[str, int]
-    first_tokens: int
-    second_tokens: int
+    Parallel columns in the whole text's lexicon rank order: ``words``, and
+    the int64 counts ``first`` and ``second`` before and after ``split_at``.
+    """
+
+    words: tuple[str, ...]
+    first: np.ndarray
+    second: np.ndarray
     split_at: int
 
-    def words(self) -> list[str]:
-        """All word types, by decreasing total count, then alphabetically."""
-        totals = Counter(self.first) + Counter(self.second)
-        return sorted(totals, key=lambda w: (-totals[w], w))
+    @property
+    def first_tokens(self) -> int:
+        return int(self.first.sum())
 
-    def frequency(self, word: str, half: int) -> float:
-        """Occurrences per token in half 1 or 2."""
-        if half == 1:
-            return self.first.get(word, 0) / self.first_tokens
-        if half == 2:
-            return self.second.get(word, 0) / self.second_tokens
-        raise ValueError("half must be 1 or 2")
+    @property
+    def second_tokens(self) -> int:
+        return int(self.second.sum())
 
-    def relative_change(self, word: str) -> float:
-        """(f2 - f1) / f1 on per-token frequencies; inf when f1 = 0."""
-        f1 = self.frequency(word, 1)
-        f2 = self.frequency(word, 2)
-        if f1 == 0.0:
-            return math.inf if f2 > 0 else 0.0
-        return (f2 - f1) / f1
+    @property
+    def frequencies(self) -> tuple[np.ndarray, np.ndarray]:
+        """Occurrences per token in the first half and in the second."""
+        return self.first / self.first_tokens, self.second / self.second_tokens
+
+    @property
+    def relative_change(self) -> np.ndarray:
+        """(f2 - f1) / f1 on per-token frequencies; inf where f1 = 0."""
+        f1, f2 = self.frequencies
+        return np.divide(f2 - f1, f1, out=np.full(f1.shape, math.inf), where=self.first > 0)
 
     def count_ratio(self, numer: str, denom: str, half: int) -> float:
         """Count ratio of two words within half 1 or 2."""
         if half not in (1, 2):
             raise ValueError("half must be 1 or 2")
-        counts = self.first if half == 1 else self.second
+        counts = dict(zip(self.words, (self.first if half == 1 else self.second).tolist()))
         bottom = counts.get(denom, 0)
         if bottom == 0:
             raise ValueError(f"word {denom!r} does not occur in half {half}")
@@ -283,18 +287,9 @@ def compare_halves(text: NormalizedText) -> HalfComparison:
     if first_tokens in (0, len(tokens)):
         raise ValueError("no words in one half of the text; both halves need words")
     split = min(max(mid, int(ends[first_tokens - 1])), int(tokens.starts[first_tokens]))
-
-    def counts(types: np.ndarray) -> dict[str, int]:
-        per_type = np.bincount(types, minlength=len(tokens.vocab)).tolist()
-        return {w: c for w, c in zip(tokens.vocab, per_type) if c}
-
-    return HalfComparison(
-        first=counts(tokens.types[:first_tokens]),
-        second=counts(tokens.types[first_tokens:]),
-        first_tokens=first_tokens,
-        second_tokens=len(tokens) - first_tokens,
-        split_at=split,
-    )
+    words, counts, order = _rank_order(tokens)
+    first = np.bincount(tokens.types[:first_tokens], minlength=len(tokens.vocab))[order]
+    return HalfComparison(words=words, first=first, second=counts - first, split_at=split)
 
 
 def content_word_variance_model(

@@ -29,10 +29,7 @@ _SYMBOL_TO_CODE = bytes(ALPHABET.index(chr(c)) if chr(c) in ALPHABET else 255 fo
 _CODE_TO_BYTE = ALPHABET.encode("ascii").ljust(256, b" ")
 
 # byte-level table for the streaming path: fold A-Z, pass a-z, rest -> space
-_STREAM_TABLE = bytes(
-    c + 32 if ord("A") <= c <= ord("Z") else (c if ord("a") <= c <= ord("z") else ord(" "))
-    for c in range(256)
-)
+_STREAM_TABLE = _BYTE_TO_CODE.translate(_CODE_TO_BYTE)
 _SPACE_BYTE = ord(" ")
 
 

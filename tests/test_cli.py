@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import shlex
 import stat
@@ -19,7 +20,6 @@ from lettercorr import (
     average_displacement,
     band_jsd,
     build_lexicon,
-    compare_halves,
     decode_symbols,
     default_k_grid,
     displacement,
@@ -250,6 +250,14 @@ def test_halves_with_an_empty_half_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "both halves need words" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["zipf", "--top", -2], ["halves", "--top", -1]])
+def test_negative_top_fails_cleanly(tmp_path, corpus_file, capsys, argv):
+    out = tmp_path / "out.tsv"
+    assert run(argv + ["--input", corpus_file, "--output", out]) == 1
+    assert capsys.readouterr().err == f"error: --top must not be negative, got {argv[-1]}\n"
     assert not out.exists()
 
 
@@ -484,17 +492,23 @@ def _band_jsd_body(text, length: int) -> bytes:
 
 
 def _halves_body(text) -> bytes:
-    comp = compare_halves(text)
+    # split and counted from the words themselves, as the per-word halves were:
+    # a midpoint inside a word moves to the word's nearer end, its end on a tie
+    data = text.to_bytes()
+    split = mid = len(data) // 2
+    if data[mid - 1 : mid + 1].isalpha():
+        start, end = data.rfind(b" ", 0, mid) + 1, data.find(b" ", mid)
+        end = len(data) if end < 0 else end
+        split = start if mid - start < end - mid else end
+    first = Counter(w.decode() for w in data[:split].split())
+    second = Counter(w.decode() for w in data[split:].split())
+    totals = first + second
     out = io.BytesIO()
     out.write(b"word\tcount_first\tcount_second\tfreq_first\tfreq_second\trel_change\n")
-    for w in comp.words()[:50]:
-        out.write(
-            (
-                f"{w}\t{comp.first.get(w, 0)}\t{comp.second.get(w, 0)}\t"
-                f"{_fmt(comp.frequency(w, 1))}\t{_fmt(comp.frequency(w, 2))}\t"
-                f"{_fmt(comp.relative_change(w))}\n"
-            ).encode()
-        )
+    for w in sorted(totals, key=lambda w: (-totals[w], w))[:50]:
+        f1, f2 = first[w] / first.total(), second[w] / second.total()
+        rel = math.inf if f1 == 0 else (f2 - f1) / f1
+        out.write(f"{w}\t{first[w]}\t{second[w]}\t{_fmt(f1)}\t{_fmt(f2)}\t{_fmt(rel)}\n".encode())
     return out.getvalue()
 
 
