@@ -8,10 +8,14 @@ and with input seed ``SEED``: once on the tree with ``--trace 1`` for the
 per-layer metrics, and twice with ``--trace 0`` for the end-to-end ones
 (run time, throughput, peak RSS, set-up time), which a traced run does
 not report: once on the tree and once on the commit it was checked out
-at (``HEAD``, the parent of an uncommitted change), extracted with
-``git archive`` into a temporary directory. The two untraced runs
-alternate which goes first from one workload to the next, so that the
-pair tells a change in the code from a drift in the host's speed.
+at (``HEAD``, the parent of an uncommitted change). Both sides run from
+copies in temporary directories of their own, so that their paths have
+equal length: the tree's files that git tracks or leaves unignored, and
+``HEAD`` extracted with ``git archive``; neither holds ``.git``. The path
+length shows in the heap layout of each run, and so in its peak RSS. The
+two untraced runs alternate which goes first from one workload to the
+next, so that the pair tells a change in the code from a drift in the
+host's speed.
 
 The output holds, per workload, the traced run's final JSON line
 (per-layer metrics, operations attempted and failed), its ``env:`` line
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,6 +55,17 @@ def extract_head(dest: Path) -> None:
         ["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_tree(dest: Path) -> None:
+    """Copy into ``dest`` the files of the working tree that git tracks or
+    leaves unignored, as they are now; ``.git`` is left out."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def src_lines() -> int:
@@ -85,12 +101,13 @@ def main() -> int:
         if (ROOT / ln[3:]).resolve() != output
     ]
     workloads = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        sides = {"tree": ROOT, "parent": Path(tmp)}
+    with tempfile.TemporaryDirectory() as tree, tempfile.TemporaryDirectory() as parent:
+        sides = {"tree": Path(tree), "parent": Path(parent)}
+        copy_tree(sides["tree"])
         extract_head(sides["parent"])
         for i, w in enumerate(spec["workloads"]):
             name = w["name"]
-            traced = run_benchmark(ROOT, command, name, seconds, 1)
+            traced = run_benchmark(sides["tree"], command, name, seconds, 1)
             order = ["tree", "parent"] if i % 2 == 0 else ["parent", "tree"]
             untraced = {side: run_benchmark(sides[side], command, name, seconds, 0)
                         for side in order}

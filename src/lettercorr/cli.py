@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import shlex
 import sys
 from contextlib import contextmanager
@@ -131,6 +132,8 @@ def _open_output(path: str):
     leaves an existing file untouched and creates none. Pipes and devices
     cannot be swapped for a new file and are written in place.
     """
+    if not path:
+        raise ValueError("cannot write '': empty path")
     if path == "-":
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
@@ -401,6 +404,9 @@ def cmd_halves(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
         parts = spec.split(":")
         if len(parts) != 2 or not all(parts):
             raise ValueError(f"--ratio must look like WORD:WORD, got {spec!r}")
+        # normalized text holds no other word, so any other would count as 0
+        if not all(re.fullmatch("[a-z]+", word) for word in parts):
+            raise ValueError(f"--ratio words must be lowercase letters a-z, got {spec!r}")
         ratios.append((parts[0], parts[1]))
 
     params: dict[str, object] = {

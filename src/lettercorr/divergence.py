@@ -112,37 +112,6 @@ def _pair_stats(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
 _CHUNK_PAIRS, _CHUNK_SPAN = 1024, 1 << 18
 
 
-def _segment_pairs(
-    codes: np.ndarray, length: int, starts: range, n_symbols: int
-) -> tuple[np.ndarray, ...]:
-    """Scores of the segment pairs ``[s, s + length)``, ``[s + length,
-    s + 2 * length)`` for s in ``starts`` over the first ``n_symbols`` codes.
-
-    Pairs are counted a chunk at a time. A chunk's span is cut at every
-    segment edge; the cumulative sum of one bincount over the blocks
-    between edges gives each segment's counts as a difference of two rows.
-    Returns the left starts of the pairs with no empty segment, then their
-    ``_pair_stats`` columns.
-    """
-    chunks = []
-    size = max(1, min(_CHUNK_PAIRS, _CHUNK_SPAN // starts.step))
-    for i in range(0, len(starts), size):
-        chunk = starts[i : i + size]
-        lefts = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
-        bounds = lefts + np.arange(3)[:, None] * length
-        edges = np.unique(bounds)
-        # block j counts into row j + 1, so cum[k] counts the span before edges[k]
-        index = np.repeat(np.arange(1, edges.size) * ALPHABET_SIZE, np.diff(edges))
-        index += codes[edges[0] : edges[-1]]
-        hist = np.bincount(index, minlength=edges.size * ALPHABET_SIZE)
-        cum = np.cumsum(hist.reshape(-1, ALPHABET_SIZE)[:, :n_symbols], axis=0)
-        start, mid, end = np.searchsorted(edges, bounds)
-        left, right = cum[mid] - cum[start], cum[end] - cum[mid]
-        counted = left.any(axis=1) & right.any(axis=1)
-        chunks.append((lefts[counted], *_pair_stats(left[counted], right[counted])))
-    return tuple(np.concatenate(c) for c in zip(*chunks))
-
-
 @dataclass(frozen=True, eq=False)
 class JsdProfile:
     """Divergence between adjacent segments at each boundary position.
@@ -196,7 +165,29 @@ def jsd_profile(
 
     starts = range(0, n - 2 * length + 1, step)
     n_symbols = ALPHABET_SIZE if include_space else SPACE
-    lefts, raw, fluct, support, trials = _segment_pairs(text.codes, length, starts, n_symbols)
+    # Pairs are counted a chunk at a time. A chunk's span is cut at every
+    # segment edge; the cumulative sum of one bincount over the blocks
+    # between edges gives each segment's counts as a difference of two rows.
+    chunks = []
+    size = max(1, min(_CHUNK_PAIRS, _CHUNK_SPAN // step))
+    for i in range(0, len(starts), size):
+        chunk = starts[i : i + size]
+        lefts = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
+        bounds = lefts + np.arange(3)[:, None] * length
+        edges = np.unique(bounds)
+        # block j counts into row j + 1, so cum[k] counts the span before edges[k]
+        index = np.repeat(np.arange(1, edges.size) * ALPHABET_SIZE, np.diff(edges))
+        index += text.codes[edges[0] : edges[-1]]
+        hist = np.bincount(index, minlength=edges.size * ALPHABET_SIZE)
+        cum = np.cumsum(hist.reshape(-1, ALPHABET_SIZE)[:, :n_symbols], axis=0)
+        start, mid, end = np.searchsorted(edges, bounds)
+        left, right = cum[mid] - cum[start], cum[end] - cum[mid]
+        counted = left.any(axis=1) & right.any(axis=1)
+        chunks.append((lefts[counted], *_pair_stats(left[counted], right[counted])))
+        # free this chunk's arrays before the next chunk or the joined
+        # columns are allocated, so at most one chunk's arrays are alive
+        del index, hist, cum, left, right
+    lefts, raw, fluct, support, trials = (np.concatenate(c) for c in zip(*chunks))
     return JsdProfile(
         positions=lefts + length,
         raw=raw,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import _segment_pairs
+from .divergence import jsd_profile
 from .textnorm import SPACE, NormalizedText, Tokens, tokenize
 
 
@@ -197,33 +197,29 @@ def band_jsd(
 ) -> BandJsdReport:
     """Mean normalized divergence of adjacent segment pairs per band.
 
-    Segment pairs tile the original coordinate space from the start
-    (offsets 0, 2L, 4L, ...). For each band the text is filtered to that
-    band's words, letter distributions are counted per segment with spaces
-    ignored, and each pair's divergence is normalized by the fluctuation
-    level for its own letter counts before averaging. Pairs where a
-    segment contains no in-band letters are skipped.
+    Each band's entry is read from the letters-only ``jsd_profile`` of the
+    text filtered to that band, at step 2L: segment pairs tile the
+    original coordinate space from the start (offsets 0, 2L, 4L, ...), and
+    each pair's divergence is normalized by the fluctuation level for its
+    own letter counts. Pairs where a segment contains no in-band letters
+    are skipped; pairs with a single pooled letter are not averaged.
     """
-    n = len(text)
-    length = int(segment_length)
-    if length < 1:
-        raise ValueError("segment length must be positive")
-    starts = range(0, n - 2 * length + 1, 2 * length)
-    if len(starts) == 0:
+    n, length = len(text), int(segment_length)
+    if 2 * length > n:
         raise ValueError(f"text of length {n} is shorter than one segment pair of {2 * length}")
     tokens = tokenize(text)
     entries = []
     for band in partition.bands:
-        codes = band_filter_text(text, lex, band, tokens).codes
-        _, raw, level, support, trials = _segment_pairs(codes, length, starts, SPACE)
-        scored = support > 1
-        norm = raw[scored] / level[scored]
+        filtered = band_filter_text(text, lex, band, tokens)
+        profile = jsd_profile(filtered, length, 2 * length, include_space=False)
+        scored = profile.support > 1
+        norm = profile.normalized[scored]
         entries.append(
             BandJsdEntry(
                 band=band,
                 mean_normalized=float(np.mean(norm)) if norm.size else math.nan,
                 pair_count=norm.size,
-                mean_trials=float(np.mean(trials[scored])) if norm.size else math.nan,
+                mean_trials=float(np.mean(profile.trials[scored])) if norm.size else math.nan,
             )
         )
     return BandJsdReport(entries=tuple(entries), segment_length=length)

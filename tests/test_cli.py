@@ -240,6 +240,13 @@ def test_halves_output_with_ratios(tmp_path, corpus_file):
 def test_halves_bad_ratio_spec(tmp_path, corpus_file, capsys):
     assert run(["halves", "--input", corpus_file, "--ratio", "whale"]) == 1
     assert "WORD:WORD" in capsys.readouterr().err
+    # words that normalized text can never hold
+    out = tmp_path / "halves.tsv"
+    for spec in ["sea.:whale", "The:a", "whale:sea1", "whale:s\u00e9a"]:
+        assert run(["halves", "--input", corpus_file, "--ratio", spec, "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --ratio words must be lowercase letters a-z, got {spec!r}\n"
+        assert not out.exists()
 
 
 def test_halves_with_an_empty_half_fails_cleanly(tmp_path, capsys):
@@ -258,6 +265,14 @@ def test_negative_top_fails_cleanly(tmp_path, corpus_file, capsys, argv):
     out = tmp_path / "out.tsv"
     assert run(argv + ["--input", corpus_file, "--output", out]) == 1
     assert capsys.readouterr().err == f"error: --top must not be negative, got {argv[-1]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("length", [0, -5])
+def test_band_jsd_non_positive_length_fails_cleanly(tmp_path, corpus_file, capsys, length):
+    out = tmp_path / "bandjsd.tsv"
+    assert run(["band-jsd", "--input", corpus_file, "-L", length, "--output", out]) == 1
+    assert capsys.readouterr().err == "error: segment length must be positive\n"
     assert not out.exists()
 
 
@@ -344,6 +359,15 @@ def test_failed_run_leaves_existing_output_untouched(tmp_path, corpus_file):
     out.write_bytes(b"earlier result\n")
     assert run(FAILING_WALK + ["--input", corpus_file, "--output", out]) == 1
     assert out.read_bytes() == b"earlier result\n"
+
+
+def test_empty_output_path_fails_cleanly(tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(["synth", "--length", 100, "--burst-len", 10, "--seed", 1, "--output", ""]) == 1
+    assert capsys.readouterr().err == "error: cannot write '': empty path\n"
+    assert list(tmp_path.rglob("*")) == [work]
 
 
 def test_output_mode_matches_a_plain_open(tmp_path):

@@ -368,6 +368,9 @@ def test_band_jsd_needs_one_pair():
     lex = build_lexicon(tokenize(text))
     with pytest.raises(ValueError, match="shorter than one segment pair"):
         band_jsd(text, lex, partition_bands(lex), 100)
+    for length in (0, -5):
+        with pytest.raises(ValueError, match="segment length must be positive"):
+            band_jsd(text, lex, partition_bands(lex), length)
 
 
 def _half_counts(comp, half: int) -> dict[str, int]:
