@@ -29,7 +29,14 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from .divergence import jsd_profile
-from .lexicon import band_jsd, build_lexicon, compare_halves, partition_bands, zipf_fit
+from .lexicon import (
+    band_jsd,
+    build_lexicon,
+    check_segment_length,
+    compare_halves,
+    partition_bands,
+    zipf_fit,
+)
 from .nullmodels import (
     letter_shuffle,
     two_regime_sequence,
@@ -378,6 +385,8 @@ def cmd_bands(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
 
 def cmd_band_jsd(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     text = _load_text(args.input)
+    # a segment pair that cannot fit fails before the text is ranked
+    check_segment_length(len(text), args.segment_length)
     lex = build_lexicon(tokenize(text))
     partition = partition_bands(lex, args.band_count, args.target_share)
     report = band_jsd(text, lex, partition, args.segment_length)

@@ -189,6 +189,17 @@ def band_filter_text(
     return NormalizedText(out)
 
 
+def check_segment_length(n: int, segment_length: int) -> int:
+    """Check that one pair of segments of ``segment_length`` fits in a text
+    of ``n`` symbols, as ``band_jsd`` needs; return the length as an int."""
+    length = int(segment_length)
+    if length < 1:
+        raise ValueError("segment length must be positive")
+    if 2 * length > n:
+        raise ValueError(f"text of length {n} is shorter than one segment pair of {2 * length}")
+    return length
+
+
 def band_jsd(
     text: NormalizedText,
     lex: FrequencyLexicon,
@@ -204,9 +215,7 @@ def band_jsd(
     own letter counts. Pairs where a segment contains no in-band letters
     are skipped; pairs with a single pooled letter are not averaged.
     """
-    n, length = len(text), int(segment_length)
-    if 2 * length > n:
-        raise ValueError(f"text of length {n} is shorter than one segment pair of {2 * length}")
+    length = check_segment_length(len(text), segment_length)
     tokens = tokenize(text)
     entries = []
     for band in partition.bands:

@@ -32,6 +32,9 @@ _CODE_TO_BYTE = ALPHABET.encode("ascii").ljust(256, b" ")
 _STREAM_TABLE = _BYTE_TO_CODE.translate(_CODE_TO_BYTE)
 _SPACE_BYTE = ord(" ")
 
+# tokens whose words tokenize splits out at a time
+_TOKEN_BLOCK = 1 << 14
+
 
 def symbol_code(letter: int | str) -> int:
     """Map a letter ('a'..'z'), ' ', 'space', or a raw code to a symbol code."""
@@ -204,10 +207,19 @@ def tokenize(text: NormalizedText) -> Tokens:
     """Split normalized text into its words, the maximal runs of letters.
 
     Joining the words with single spaces reproduces the space-trimmed
-    text; offsets refer to positions in ``text``.
+    text; offsets refer to positions in ``text``. Type ids are assigned
+    one block of ``_TOKEN_BLOCK`` tokens at a time, from the bytes that
+    block spans, so besides the table the split holds one block's words.
     """
     edges = np.flatnonzero(np.diff(text.codes != SPACE, prepend=False, append=False))
-    starts, ends = edges[0::2], edges[1::2]
+    starts = edges[0::2].copy()
+    lengths = edges[1::2] - starts
+    del edges
     ids: dict[bytes, int] = {}
-    types = np.fromiter((ids.setdefault(w, len(ids)) for w in text.to_bytes().split()), np.int64)
-    return Tokens(starts, ends - starts, types, tuple(w.decode("ascii") for w in ids))
+    types = np.empty(starts.size, dtype=np.int64)
+    for a in range(0, starts.size, _TOKEN_BLOCK):
+        b = min(a + _TOKEN_BLOCK, starts.size)
+        span = text.codes[starts[a] : starts[b - 1] + lengths[b - 1]]
+        words = span.tobytes().translate(_CODE_TO_BYTE).split()
+        types[a:b] = np.fromiter((ids.setdefault(w, len(ids)) for w in words), np.int64, b - a)
+    return Tokens(starts, lengths, types, tuple(w.decode("ascii") for w in ids))

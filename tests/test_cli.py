@@ -268,11 +268,36 @@ def test_negative_top_fails_cleanly(tmp_path, corpus_file, capsys, argv):
     assert not out.exists()
 
 
+@pytest.fixture()
+def no_tokenize(monkeypatch):
+    # band-jsd rejects a bad -L before the text is tokenized and ranked
+    def tokenize(text):
+        raise AssertionError("tokenize called")
+
+    monkeypatch.setattr("lettercorr.cli.tokenize", tokenize)
+    monkeypatch.setattr("lettercorr.lexicon.tokenize", tokenize)
+
+
 @pytest.mark.parametrize("length", [0, -5])
-def test_band_jsd_non_positive_length_fails_cleanly(tmp_path, corpus_file, capsys, length):
+def test_band_jsd_non_positive_length_fails_cleanly(
+    tmp_path, corpus_file, capsys, no_tokenize, length
+):
     out = tmp_path / "bandjsd.tsv"
     assert run(["band-jsd", "--input", corpus_file, "-L", length, "--output", out]) == 1
     assert capsys.readouterr().err == "error: segment length must be positive\n"
+    assert not out.exists()
+
+
+def test_band_jsd_pair_longer_than_the_text_fails_cleanly(
+    tmp_path, corpus_file, capsys, no_tokenize
+):
+    n = len(normalize(corpus_file.read_bytes()))
+    length = n // 2 + 1
+    out = tmp_path / "bandjsd.tsv"
+    assert run(["band-jsd", "--input", corpus_file, "-L", length, "--output", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: text of length {n} is shorter than one segment pair of {2 * length}\n"
+    )
     assert not out.exists()
 
 

@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from test_integration import synthetic_novel
 
 from lettercorr import (
     SPACE,
@@ -219,15 +220,38 @@ def test_word_shuffle_preserves_token_multiset():
 
 
 @given(
-    st.lists(st.sampled_from("abc   "), min_size=1, max_size=300).map("".join),
+    st.lists(st.sampled_from("abc   "), min_size=1, max_size=300)
+    .map("".join)
+    .flatmap(lambda s: st.tuples(st.just(s), st.integers(1, len(s) + 1))),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_word_shuffle_matches_the_word_list_shuffle(s, seed):
-    # the word list permutation the token table replaced, on texts with space runs
+@example(("     ", 1), 0)
+@example(("  ab  c ab   a  ", 2), 7)
+def test_word_shuffle_matches_the_word_list_shuffle(case, seed):
+    # the word list permutation the token table replaced, on texts with
+    # space runs or no words at all, joined in blocks of any size
+    s, block = case
     text = decode_symbols(s.encode())
     words = s.split()
     order = np.random.default_rng(seed).permutation(len(words))
-    assert word_shuffle(text, seed) == normalize(" ".join(words[i] for i in order))
+    with mock.patch.object(nullmodels, "_BLOCK", block):
+        got = word_shuffle(text, seed)
+    assert got == normalize(" ".join(words[i] for i in order))
+
+
+def test_word_shuffle_memory_is_the_token_table_and_one_block_of_words():
+    # the peak is tokenize's, 6.2 bytes a symbol of the novel: the offsets
+    # are freed before the ids are permuted, and no list holds every word
+    # (lists of the permuted ids and of their words took 13.8)
+    text = synthetic_novel()
+    n = len(text)
+    tracemalloc.start()
+    try:
+        word_shuffle(text, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_two_regime_alphabet_and_placement():

@@ -1,10 +1,13 @@
 import io
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from test_integration import synthetic_novel
 
 from lettercorr import (
     SPACE,
@@ -14,6 +17,7 @@ from lettercorr import (
     normalize_stream,
     symbol_code,
     symbol_name,
+    textnorm,
     tokenize,
 )
 
@@ -108,16 +112,38 @@ def test_tokens_reassemble_the_trimmed_text(s):
     assert " ".join(_words(tokens)) == text.render().strip(" ")
 
 
-@given(surrogates)
-def test_tokenize_matches_the_regex_tokenizer(text):
-    tokens = tokenize(text)
+@given(surrogates.flatmap(lambda t: st.tuples(st.just(t), st.integers(1, len(t) + 1))))
+@example((decode_symbols(b""), 1))
+@example((decode_symbols(b"     "), 1))
+@example((decode_symbols(b"  ab  c ab   a  "), 2))
+def test_tokenize_matches_the_regex_tokenizer(case):
+    # any block of tokens, from one to more than the text holds, gives the
+    # table of one pass over all words, with no words and with space runs
+    text, block = case
+    with mock.patch.object(textnorm, "_TOKEN_BLOCK", block):
+        tokens = tokenize(text)
     assert len(tokens) == len(_regex_tokens(text))
     assert list(zip(_words(tokens), tokens.starts.tolist(), tokens.lengths.tolist())) == (
         _regex_tokens(text)
     )
     assert list(tokens.vocab) == list(dict.fromkeys(_words(tokens)))
     for column in (tokens.starts, tokens.lengths, tokens.types):
-        assert column.dtype == np.int64
+        assert column.dtype == np.int64 and column.flags.c_contiguous
+
+
+def test_tokenize_memory_is_the_table_and_one_block_of_words():
+    # on the novel, one token per 5.25 symbols, the peak is the edge pass:
+    # two words a token for the edges beside the starts and lengths, 6.1
+    # bytes a symbol; one bytes object per word took 13.7
+    text = synthetic_novel()
+    n = len(text)
+    tracemalloc.start()
+    try:
+        tokenize(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_tokenize_examples():
