@@ -32,8 +32,26 @@ _CODE_TO_BYTE = ALPHABET.encode("ascii").ljust(256, b" ")
 _STREAM_TABLE = _BYTE_TO_CODE.translate(_CODE_TO_BYTE)
 _SPACE_BYTE = ord(" ")
 
-# tokens whose words tokenize splits out at a time
+# tokens whose sort keys tokenize builds at a time
 _TOKEN_BLOCK = 1 << 14
+# longest word whose letters are its own sort key; longer words are
+# numbered through a dict (the key holds at most 8 five-bit fields)
+_KEY_LETTERS = 8
+# the space in the codes + 1 that tokenize gathers its sort keys from
+_SPACE_PLUS_ONE = bytes([SPACE + 1])
+# _WORD_MASKS[n] keeps the first n bytes of a little-endian 8-byte gather
+_WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# (shift, kept field, moved field) of the steps that pack fields 8 bits
+# apart to 5, then pairs 16 apart to 10, then quads 32 apart to 20, so the
+# letter in byte j lands at bit 5j
+_FOLD_STEPS = tuple(
+    (np.uint64(shift), np.uint64(keep), np.uint64(moved))
+    for shift, keep, moved in (
+        (3, 0x001F001F001F001F, 0x03E003E003E003E0),
+        (6, 0x000003FF000003FF, 0x000FFC00000FFC00),
+        (12, 0x00000000000FFFFF, 0x000000FFFFF00000),
+    )
+)
 
 
 def symbol_code(letter: int | str) -> int:
@@ -207,19 +225,123 @@ def tokenize(text: NormalizedText) -> Tokens:
     """Split normalized text into its words, the maximal runs of letters.
 
     Joining the words with single spaces reproduces the space-trimmed
-    text; offsets refer to positions in ``text``. Type ids are assigned
-    one block of ``_TOKEN_BLOCK`` tokens at a time, from the bytes that
-    block spans, so besides the table the split holds one block's words.
+    text; offsets refer to positions in ``text``. Type ids come from one
+    in-place sort of 64-bit keys, each token's word key over its index
+    (see :func:`_sorted_keys`): the sort puts each word's tokens together
+    in token order, headed by its first occurrence, and numbering these
+    runs by that occurrence gives the ids. Besides the table and the keys
+    ``tokenize`` holds one block of ``_TOKEN_BLOCK`` tokens' temporaries.
+    A text of more than 2^29 - 1 tokens raises ``ValueError``.
     """
-    edges = np.flatnonzero(np.diff(text.codes != SPACE, prepend=False, append=False))
+    codes = text.codes
+    edges = np.flatnonzero(np.diff(codes != SPACE, prepend=False, append=False))
     starts = edges[0::2].copy()
     lengths = edges[1::2] - starts
     del edges
-    ids: dict[bytes, int] = {}
-    types = np.empty(starts.size, dtype=np.int64)
-    for a in range(0, starts.size, _TOKEN_BLOCK):
-        b = min(a + _TOKEN_BLOCK, starts.size)
-        span = text.codes[starts[a] : starts[b - 1] + lengths[b - 1]]
-        words = span.tobytes().translate(_CODE_TO_BYTE).split()
-        types[a:b] = np.fromiter((ids.setdefault(w, len(ids)) for w in words), np.int64, b - a)
-    return Tokens(starts, lengths, types, tuple(w.decode("ascii") for w in ids))
+    count = starts.size
+    if not count:
+        return Tokens(starts, lengths, np.empty(0, dtype=np.int64), ())
+    keys, bits = _sorted_keys(codes, starts, lengths)
+    shift, index = np.uint64(bits), np.uint64((1 << bits) - 1)
+    head = np.empty(count, dtype=bool)
+    head[0] = True
+    for a in range(1, count, _TOKEN_BLOCK):
+        b = min(a + _TOKEN_BLOCK, count)
+        word = keys[a - 1 : b] >> shift
+        np.not_equal(word[1:], word[:-1], out=head[a:b])
+    firsts = (keys[head] & index).astype(np.int64)
+    run_ids = np.empty(firsts.size, dtype=np.int64)
+    run_ids[np.argsort(firsts)] = np.arange(firsts.size)
+    types = np.empty(count, dtype=np.int64)
+    runs = 0
+    for a in range(0, count, _TOKEN_BLOCK):
+        b = min(a + _TOKEN_BLOCK, count)
+        run = np.cumsum(head[a:b])
+        run += runs - 1
+        types[(keys[a:b] & index).view(np.int64)] = run_ids[run]
+        runs = int(run[-1]) + 1
+    del keys, head
+    firsts.sort()
+    joined = _spelled(codes, starts[firsts], lengths[firsts]).translate(_CODE_TO_BYTE)
+    return Tokens(starts, lengths, types, tuple(joined.decode("ascii").split(" ")))
+
+
+def _spelled(symbols: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bytes:
+    """The words at ``starts`` of ``symbols``, in order, each but the last
+    followed by the symbol after it, a space. The last word goes without,
+    as a word that ends ``symbols`` has no symbol after it."""
+    ends = np.cumsum(lengths + 1)
+    # positions to read, as a running sum of steps: one, or a jump to the
+    # next word's start
+    at = np.ones(ends[-1], dtype=np.int64)
+    at[0] = starts[0]
+    at[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1]
+    np.cumsum(at, out=at)
+    np.minimum(at, symbols.size - 1, out=at)
+    return symbols[at[:-1]].tobytes()
+
+
+def _sorted_keys(
+    codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The tokens' sort keys, sorted, and the count of index bits under the word keys.
+
+    A word of up to ``_KEY_LETTERS`` letters is its own key: an 8-byte
+    gather at its start from the codes + 1, masked to its length, with the
+    bytes folded into 5-bit fields. A longer word is numbered through a
+    dict on its bytes, and its key is 31 in the top field over that id;
+    letters are at most 26 there. The keys are built one block of
+    ``_TOKEN_BLOCK`` tokens at a time, from the codes that block spans.
+    """
+    count = starts.size
+    bits, fields, tag = _key_layout(count)
+    letters = min(_KEY_LETTERS, fields)
+    keys = np.empty(count, dtype=np.uint64)
+    long_ids: dict[bytes, int] = {}
+    for a in range(0, count, _TOKEN_BLOCK):
+        b = min(a + _TOKEN_BLOCK, count)
+        lo = starts[a]
+        span = codes[lo : starts[b - 1] + lengths[b - 1]]
+        offsets, sizes, key = starts[a:b] - lo, lengths[a:b], keys[a:b]
+        # codes + 1 and 7 bytes of zero padding, read as 8 bytes at each offset
+        padded = np.zeros(span.size + 7, dtype=np.uint8)
+        np.add(span, 1, out=padded[: span.size])
+        np.take(np.ndarray(span.size, "<u8", padded, strides=(1,)), offsets, out=key)
+        key &= _WORD_MASKS[np.minimum(sizes, 8)]
+        moved = np.empty_like(key)
+        for step, keep, field in _FOLD_STEPS:
+            np.right_shift(key, step, out=moved)
+            moved &= field
+            key &= keep
+            key |= moved
+        long = np.flatnonzero(sizes > letters)
+        if long.size:
+            words = _spelled(padded, offsets[long], sizes[long]).split(_SPACE_PLUS_ONE)
+            # a word's id is the index of its first long token: any distinct
+            # ids below the token count do, as the sort only groups them
+            ids = map(long_ids.setdefault, words, (long + a).tolist())
+            key[long] = np.uint64(tag) | np.fromiter(ids, np.uint64, long.size)
+        key <<= np.uint64(bits)
+        key |= np.arange(a, b, dtype=np.uint64)
+    keys.sort()
+    return keys, bits
+
+
+def _key_layout(count: int) -> tuple[int, int, int]:
+    """Index bits, word-key fields and long-word tag of the keys of ``count`` tokens.
+
+    A key is a word key over ``count.bit_length()`` index bits in 64 bits,
+    so it has room for ``(64 - bits) // 5`` five-bit fields, and a gather
+    for at most 8. A numbered (long) word's key is the tag, 31 in the top
+    field, over its id, a token index, so the index must stay below
+    2^(5 (fields - 1)); that holds up to 2^29 - 1 tokens (29 index bits, 7
+    fields), and no further.
+    """
+    bits = count.bit_length()
+    fields = min(8, (64 - bits) // 5)
+    if count > 1 << 5 * (fields - 1):
+        raise ValueError(
+            f"cannot tokenize {count} tokens: type ids fit in 64-bit sort keys "
+            f"for at most {(1 << 29) - 1} tokens"
+        )
+    return bits, fields, 31 << 5 * (fields - 1)

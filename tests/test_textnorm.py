@@ -95,8 +95,9 @@ def _regex_tokens(text: NormalizedText) -> list[tuple[str, int, int]]:
     ]
 
 
-# surrogate-like texts: few letters, so words repeat, and runs of spaces
-surrogates = st.lists(st.sampled_from("abc   "), max_size=300).map(
+# surrogate-like texts: few letters, so words repeat, and runs of spaces;
+# y and z (codes + 1 of 25 and 26) set the high bit of their 5-bit fields
+surrogates = st.lists(st.sampled_from("abyz   "), max_size=300).map(
     lambda s: decode_symbols("".join(s).encode())
 )
 
@@ -112,16 +113,7 @@ def test_tokens_reassemble_the_trimmed_text(s):
     assert " ".join(_words(tokens)) == text.render().strip(" ")
 
 
-@given(surrogates.flatmap(lambda t: st.tuples(st.just(t), st.integers(1, len(t) + 1))))
-@example((decode_symbols(b""), 1))
-@example((decode_symbols(b"     "), 1))
-@example((decode_symbols(b"  ab  c ab   a  "), 2))
-def test_tokenize_matches_the_regex_tokenizer(case):
-    # any block of tokens, from one to more than the text holds, gives the
-    # table of one pass over all words, with no words and with space runs
-    text, block = case
-    with mock.patch.object(textnorm, "_TOKEN_BLOCK", block):
-        tokens = tokenize(text)
+def _assert_regex_table(tokens, text: NormalizedText) -> None:
     assert len(tokens) == len(_regex_tokens(text))
     assert list(zip(_words(tokens), tokens.starts.tolist(), tokens.lengths.tolist())) == (
         _regex_tokens(text)
@@ -131,10 +123,63 @@ def test_tokenize_matches_the_regex_tokenizer(case):
         assert column.dtype == np.int64 and column.flags.c_contiguous
 
 
+@given(
+    surrogates.flatmap(
+        lambda t: st.tuples(st.just(t), st.integers(1, len(t) + 1), st.integers(1, 8))
+    )
+)
+@example((decode_symbols(b""), 1, 8))
+@example((decode_symbols(b"     "), 1, 8))
+@example((decode_symbols(b"  ab  c ab   a  "), 2, 8))
+@example((decode_symbols(b"aaaaaaaab aaaaaaaac aaaaaaaab aaaaaaaa aaaaaaaz aaaaaaa"), 2, 8))
+@example((decode_symbols(b"zy " + b"yz" * 500 + b" zy"), 1, 8))
+@example((decode_symbols(b"abcdefghi zyxwvutsrqp abcdefghi zyxwvutsrq "), 3, 8))
+def test_tokenize_matches_the_regex_tokenizer(case):
+    # any block of tokens, from one to more than the text holds, and any
+    # key length, from one letter to eight, give the table of one pass over
+    # all words: with no words, with space runs, with words that share
+    # their first eight or seven letters, with a 1,000-letter word and
+    # with every word longer than its key
+    text, block, letters = case
+    with (
+        mock.patch.object(textnorm, "_TOKEN_BLOCK", block),
+        mock.patch.object(textnorm, "_KEY_LETTERS", letters),
+    ):
+        tokens = tokenize(text)
+    _assert_regex_table(tokens, text)
+
+
+def test_tokenize_matches_the_regex_tokenizer_on_the_novel():
+    # 219,840 tokens: 18 index bits under each word key and 14 blocks,
+    # sizes that no drawn text reaches
+    text = synthetic_novel()
+    _assert_regex_table(tokenize(text), text)
+
+
+@pytest.mark.parametrize(
+    "count, bits, fields",
+    [((1 << 24) - 1, 24, 8), (1 << 24, 25, 7), ((1 << 29) - 1, 29, 7)],
+)
+def test_sort_keys_of_the_largest_texts_fit_64_bits(count, bits, fields):
+    tag = 31 << 5 * (fields - 1)
+    assert textnorm._key_layout(count) == (bits, fields, tag)
+    # every short word key (letters 1..26 in each field) stays below the
+    # tag, and the tag over the last id, over the last index, fits 64 bits
+    assert int("11010" * fields, 2) < tag
+    assert count - 1 < 1 << 5 * (fields - 1)
+    assert ((tag | (count - 1)) << bits | (count - 1)) < 1 << 64
+
+
+def test_sort_keys_refuse_more_tokens_than_they_number():
+    with pytest.raises(ValueError, match=f"cannot tokenize {1 << 29} tokens"):
+        textnorm._key_layout(1 << 29)
+
+
 def test_tokenize_memory_is_the_table_and_one_block_of_words():
-    # on the novel, one token per 5.25 symbols, the peak is the edge pass:
-    # two words a token for the edges beside the starts and lengths, 6.1
-    # bytes a symbol; one bytes object per word took 13.7
+    # on the novel, one token per 5.25 symbols, the peak is the numbering
+    # of the sorted runs: the table's three columns, the sorted keys, one
+    # head flag a token and one block's temporaries, 6.7 bytes a symbol
+    # (the edge pass before it, 6.1); one bytes object per word took 13.7
     text = synthetic_novel()
     n = len(text)
     tracemalloc.start()
