@@ -213,6 +213,26 @@ def test_letter_shuffle_preserves_histogram_exactly():
     assert np.array_equal(_histogram(letter_shuffle(text, 1)), _histogram(text))
 
 
+@given(
+    st.lists(st.integers(0, 26), min_size=1, max_size=400),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example([0], 0)
+@example([SPACE] * 5, 1)
+def test_letter_shuffle_matches_one_permutation_of_the_codes(codes, seed):
+    # the reference is one Generator.permutation over all the codes
+    source = np.array(codes, dtype=np.uint8)
+    want = np.random.default_rng(seed).permutation(source)
+    assert letter_shuffle(NormalizedText(source), seed) == NormalizedText(want)
+
+
+def test_letter_shuffle_matches_one_permutation_on_the_novel():
+    text = synthetic_novel()
+    for seed in (0, 1, 7):
+        want = np.random.default_rng(seed).permutation(text.codes)
+        assert letter_shuffle(text, seed) == NormalizedText(want)
+
+
 def test_word_shuffle_preserves_token_multiset():
     text = normalize("the cat saw the other cat by the sea")
     shuffled = word_shuffle(text, 2)
