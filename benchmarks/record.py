@@ -24,7 +24,8 @@ untraced run of the tree, under ``end_to_end.parent`` for that of
 ``HEAD``, and under ``end_to_end.first`` which of the two ran first. It
 also holds the git revision of ``HEAD``, the paths that differed from
 it, and ``src_lines``, the line count of the package source as
-``wc -l src/lettercorr/*.py`` gives it. A benchmark run that exits
+``wc -l src/lettercorr/*.py`` gives it, with ``src_lines_parent``, the
+same count for ``HEAD``. A benchmark run that exits
 non-zero or prints no final line is an error, and no file is written.
 """
 
@@ -68,8 +69,8 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def src_lines() -> int:
-    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "lettercorr").glob("*.py"))
+def src_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "lettercorr").glob("*.py"))
 
 
 def run_benchmark(
@@ -105,6 +106,7 @@ def main() -> int:
         sides = {"tree": Path(tree), "parent": Path(parent)}
         copy_tree(sides["tree"])
         extract_head(sides["parent"])
+        lines = {side: src_lines(path) for side, path in sides.items()}
         for i, w in enumerate(spec["workloads"]):
             name = w["name"]
             traced = run_benchmark(sides["tree"], command, name, seconds, 1)
@@ -118,7 +120,8 @@ def main() -> int:
     record = {
         "revision": git("rev-parse", "HEAD").strip(),
         "changed_paths": changed,
-        "src_lines": src_lines(),
+        "src_lines": lines["tree"],
+        "src_lines_parent": lines["parent"],
         "command": command,
         "seed": SEED,
         "run_seconds": seconds,

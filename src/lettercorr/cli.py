@@ -28,11 +28,10 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .divergence import jsd_profile
+from .divergence import check_segment_length, jsd_profile
 from .lexicon import (
     band_jsd,
     build_lexicon,
-    check_segment_length,
     compare_halves,
     partition_bands,
     zipf_fit,
@@ -476,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", required=True,
         choices=["window-sample", "window-permute", "letter", "word"],
     )
-    p.add_argument("--window", type=int, help="window size for the window modes")
+    p.add_argument("--window", type=int, help=(
+        "window-sample draws each symbol from the WINDOW-1 source symbols around it "
+        "(so 2 changes nothing); window-permute permutes blocks of WINDOW symbols"))
     p.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV})")
     p.set_defaults(func=cmd_shuffle)
 

@@ -112,6 +112,17 @@ def _pair_stats(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
 _CHUNK_PAIRS, _CHUNK_SPAN = 1024, 1 << 18
 
 
+def check_segment_length(n: int, segment_length: int) -> int:
+    """Check that a pair of segments of ``segment_length`` fits in a text of
+    ``n`` symbols; return the length as an int."""
+    length = int(segment_length)
+    if length < 1:
+        raise ValueError("segment length must be positive")
+    if 2 * length > n:
+        raise ValueError(f"text of length {n} is shorter than two segments of {length}")
+    return length
+
+
 @dataclass(frozen=True, eq=False)
 class JsdProfile:
     """Divergence between adjacent segments at each boundary position.
@@ -153,11 +164,7 @@ def jsd_profile(
     mode, boundaries with an all-space segment are skipped.
     """
     n = len(text)
-    length = int(segment_length)
-    if length < 1:
-        raise ValueError("segment length must be positive")
-    if 2 * length > n:
-        raise ValueError(f"text of length {n} is shorter than two segments of {length}")
+    length = check_segment_length(n, segment_length)
     if step is None:
         step = max(length // 10, 1)
     if step < 1:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import jsd_profile
+from .divergence import check_segment_length, jsd_profile
 from .textnorm import SPACE, NormalizedText, Tokens, tokenize
 
 
@@ -187,17 +187,6 @@ def band_filter_text(
     np.place(blank, blank, np.repeat(~keep[tokens.types], tokens.lengths))
     np.putmask(out, blank, SPACE)
     return NormalizedText(out)
-
-
-def check_segment_length(n: int, segment_length: int) -> int:
-    """Check that one pair of segments of ``segment_length`` fits in a text
-    of ``n`` symbols, as ``band_jsd`` needs; return the length as an int."""
-    length = int(segment_length)
-    if length < 1:
-        raise ValueError("segment length must be positive")
-    if 2 * length > n:
-        raise ValueError(f"text of length {n} is shorter than one segment pair of {2 * length}")
-    return length
 
 
 def band_jsd(

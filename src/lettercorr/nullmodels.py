@@ -34,7 +34,9 @@ def window_shuffle(text: NormalizedText, window: int, seed: int) -> NormalizedTe
 
     Output position i is drawn uniformly, with replacement, from the
     source symbols with index j in [max(0, i - window//2 + 1),
-    min(N, i + ceil(window/2))). Windows are clamped at the text
+    min(N, i + ceil(window/2))). That range holds ``window - 1`` symbols,
+    so ``window=2`` returns the text unchanged; the blocks of
+    :func:`window_permute` hold ``window``. Windows are clamped at the text
     boundaries, never wrapped, so a window of 2N or more degenerates to
     iid draws from the whole text (and is drawn as a window of 2N). Local
     letter frequencies survive in expectation; everything else is
@@ -97,28 +99,25 @@ def window_permute(text: NormalizedText, window: int, seed: int) -> NormalizedTe
 
 
 def letter_shuffle(text: NormalizedText, seed: int) -> NormalizedText:
-    """Uniform random permutation of all symbols."""
-    if len(text) == 0:
-        raise ValueError("empty text")
-    rng = _rng(seed)
-    return NormalizedText(rng.permutation(text.codes))
+    """Uniform random permutation of all symbols: the block permutation
+    whose one block is the whole text."""
+    return window_permute(text, len(text), seed)
 
 
 def word_shuffle(text: NormalizedText, seed: int) -> NormalizedText:
     """Uniform random permutation of words, rejoined with single spaces.
 
-    Of the token table only the type ids are kept; they are permuted and
+    Of the token table only the type ids are kept, shuffled in place and
     spelled out one block of tokens at a time, so no list holds every word.
     """
     if len(text) == 0:
         raise ValueError("empty text")
     rng = _rng(seed)
     tokens = tokenize(text)
-    ids, vocab = tokens.types, tokens.vocab
+    types, vocab = tokens.types, tokens.vocab
     out = np.full(int(tokens.lengths.sum()) + max(len(tokens) - 1, 0), SPACE, dtype=np.uint8)
     del tokens
-    types = ids[rng.permutation(ids.size)]
-    del ids
+    rng.shuffle(types)
     at = 0
     for a in range(0, types.size, _BLOCK):
         # the words are canonical already, so their bytes decode as they are

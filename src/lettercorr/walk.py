@@ -22,12 +22,12 @@ _WRAP_MASK = (1 << 64) - 1
 # every integer up to 2**53 is a float64, so a float64 sum of
 # non-negative integers is exact while the total stays below it
 _FLOAT_EXACT = (1 << 53) - 1
-# below this many rows per chunk the per-chunk overhead of the float64
-# dot outweighs its speed over the uint64 one. The value rests on
-# synthetic Bernoulli sequences only, timed on a 2-vCPU host (float64
-# slower at 9k rows and level at 12-15k for N = 2e6, faster at 10.6k
-# rows for N = 8e6); no measured text has a symbol frequent enough to
-# fall below it, and BLAS threading may move it
+# below this many rows per chunk the uint64 dot replaces the float64 one,
+# which per-chunk overhead once made slower at 9k rows. Since the
+# occurrence sums it is not: on a 2-vCPU host, a Bernoulli sequence of
+# N = 4e6, p = 0.25 (about 9,004 rows per chunk) took 0.34-0.42 s with the
+# float64 dot forced, against 0.46-0.77 s with uint64. The value is kept,
+# as no measured text has a symbol frequent enough to fall below it
 _FLOAT_MIN_ROWS = 12_000
 # chunks whose moments displacement reads per gather: enough to take every
 # k of a text of a few million symbols at once, and few enough that the

@@ -296,9 +296,34 @@ def test_band_jsd_pair_longer_than_the_text_fails_cleanly(
     out = tmp_path / "bandjsd.tsv"
     assert run(["band-jsd", "--input", corpus_file, "-L", length, "--output", out]) == 1
     assert capsys.readouterr().err == (
-        f"error: text of length {n} is shorter than one segment pair of {2 * length}\n"
+        f"error: text of length {n} is shorter than two segments of {length}\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("length", [0, -5, None])
+def test_segment_pair_checks_fail_with_one_message(corpus_file, capsys, no_tokenize, length):
+    # jsd_profile, band_jsd and the band-jsd command share one check, so a
+    # bad -L reads the same from each of them; None stands for N // 2 + 1
+    text = normalize(corpus_file.read_bytes())
+    length = len(text) // 2 + 1 if length is None else length
+    lex = build_lexicon(tokenize(text))  # the module's own name, not the patched ones
+    messages = []
+    for call in (
+        lambda: jsd_profile(text, length),
+        lambda: band_jsd(text, lex, partition_bands(lex), length),
+    ):
+        with pytest.raises(ValueError) as caught:
+            call()
+        messages.append(str(caught.value))
+    assert run(["band-jsd", "--input", corpus_file, "-L", length]) == 1
+    messages.append(capsys.readouterr().err.removeprefix("error: ").rstrip("\n"))
+    want = (
+        "segment length must be positive"
+        if length < 1
+        else f"text of length {len(text)} is shorter than two segments of {length}"
+    )
+    assert messages == [want] * 3
 
 
 def test_bad_byte_in_a_sequence_file_is_reported_at_its_file_offset(tmp_path, corpus_file, capsys):

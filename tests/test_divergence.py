@@ -282,3 +282,5 @@ def test_profile_validation():
         jsd_profile(text, 100)
     with pytest.raises(ValueError, match="step"):
         jsd_profile(text, 5, step=0)
+    # exactly one pair fits
+    assert len(jsd_profile(normalize("abcdefghij", trim=True), np.int64(5))) == 1

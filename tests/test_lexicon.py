@@ -366,7 +366,7 @@ def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span)
 def test_band_jsd_needs_one_pair():
     text = normalize("too short")
     lex = build_lexicon(tokenize(text))
-    with pytest.raises(ValueError, match="shorter than one segment pair"):
+    with pytest.raises(ValueError, match="shorter than two segments of 100"):
         band_jsd(text, lex, partition_bands(lex), 100)
     for length in (0, -5):
         with pytest.raises(ValueError, match="segment length must be positive"):
