@@ -8,7 +8,10 @@ and with input seed ``SEED``: once on the tree with ``--trace 1`` for the
 per-layer metrics, and twice with ``--trace 0`` for the end-to-end ones
 (run time, throughput, peak RSS, set-up time), which a traced run does
 not report: once on the tree and once on the commit it was checked out
-at (``HEAD``, the parent of an uncommitted change). Both sides run from
+at (``HEAD``). Run it with the whole change uncommitted, so that ``HEAD``
+is the commit the change starts from: once part of a change is
+committed, ``HEAD`` holds that part, and the record compares the tree
+with it rather than with the change's parent. Both sides run from
 copies in temporary directories of their own, so that their paths have
 equal length: the tree's files that git tracks or leaves unignored, and
 ``HEAD`` extracted with ``git archive``; neither holds ``.git``. The path

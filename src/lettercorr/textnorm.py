@@ -178,7 +178,6 @@ def normalize_stream(
     written = 0
     offset = 0
     pending = b""  # a held-back trailing space, written once letters follow
-    started = False  # symbols written so far (trim drops the leading space)
     while True:
         try:
             chunk = src.read(chunk_size)
@@ -191,12 +190,11 @@ def normalize_stream(
         symbols = np.frombuffer(pending + chunk.translate(_STREAM_TABLE), dtype=np.uint8)
         out = _collapse_spaces(symbols, _SPACE_BYTE)
         pending = b" " if out[-1] == _SPACE_BYTE else b""
-        lo = 1 if trim and not started and out[0] == _SPACE_BYTE else 0
+        lo = 1 if trim and not written and out[0] == _SPACE_BYTE else 0
         hi = out.size - len(pending)
         if hi > lo:
             dst.write(out[lo:hi].tobytes())
             written += hi - lo
-            started = True
     if pending and not trim:
         dst.write(pending)
         written += 1
@@ -229,9 +227,9 @@ def tokenize(text: NormalizedText) -> Tokens:
     in-place sort of 64-bit keys, each token's word key over its index
     (see :func:`_sorted_keys`): the sort puts each word's tokens together
     in token order, headed by its first occurrence, and numbering these
-    runs by that occurrence gives the ids. Besides the table and the keys
-    ``tokenize`` holds one block of ``_TOKEN_BLOCK`` tokens' temporaries.
-    A text of more than 2^29 - 1 tokens raises ``ValueError``.
+    runs by that occurrence, ``_TOKEN_BLOCK`` tokens at a time, gives the
+    ids. Finding the runs takes one word per token besides the table and
+    the keys. A text of more than 2^29 - 1 tokens raises ``ValueError``.
     """
     codes = text.codes
     edges = np.flatnonzero(np.diff(codes != SPACE, prepend=False, append=False))
@@ -242,13 +240,10 @@ def tokenize(text: NormalizedText) -> Tokens:
     if not count:
         return Tokens(starts, lengths, np.empty(0, dtype=np.int64), ())
     keys, bits = _sorted_keys(codes, starts, lengths)
-    shift, index = np.uint64(bits), np.uint64((1 << bits) - 1)
+    index = np.uint64((1 << bits) - 1)
     head = np.empty(count, dtype=bool)
     head[0] = True
-    for a in range(1, count, _TOKEN_BLOCK):
-        b = min(a + _TOKEN_BLOCK, count)
-        word = keys[a - 1 : b] >> shift
-        np.not_equal(word[1:], word[:-1], out=head[a:b])
+    np.greater(keys[1:] ^ keys[:-1], index, out=head[1:])  # the word bits differ
     firsts = (keys[head] & index).astype(np.int64)
     run_ids = np.empty(firsts.size, dtype=np.int64)
     run_ids[np.argsort(firsts)] = np.arange(firsts.size)

@@ -71,10 +71,7 @@ class DisplacementCurve:
         f = np.ascontiguousarray(self.f, dtype=np.float64)
         if k.shape != f.shape or k.ndim != 1:
             raise ValueError("k and F must be 1-d arrays of equal length")
-        if k.size and (k[0] < 1 or np.any(np.diff(k) <= 0)):
-            raise ValueError("window lengths must be strictly increasing and >= 1")
-        if k.size and int(k[-1]) > self.n // 4:
-            raise ValueError(f"window k={int(k[-1])} exceeds N/4={self.n // 4}")
+        _check_grid(k, self.n)
         if np.any(f < 0):
             raise ValueError("displacement values must be non-negative")
         object.__setattr__(self, "k", k)
@@ -94,6 +91,17 @@ class ScalingFit:
     k_max: int
     rms_residual: float
     excluded_zero: int
+
+
+def _check_grid(k: np.ndarray, n: int) -> None:
+    """Window lengths must be at least 1, strictly increasing and at most N/4."""
+    if k.size and k[0] < 1:
+        raise ValueError(f"window k={int(k[0])} must be at least 1")
+    if np.any(np.diff(k) <= 0):
+        raise ValueError("window grid must be strictly increasing")
+    if k.size and k[-1] > n // 4:
+        bad = int(k[np.argmax(k > n // 4)])
+        raise ValueError(f"window k={bad} exceeds N/4={n // 4} for a sequence of length {n}")
 
 
 def indicator(text: NormalizedText, letter: int | str) -> IndicatorSeries:
@@ -149,14 +157,7 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
     ks = np.asarray(list(k_grid) if not isinstance(k_grid, np.ndarray) else k_grid, dtype=np.int64)
     if ks.size == 0:
         raise ValueError("window grid is empty")
-    if ks[0] < 1:
-        raise ValueError(f"window k={int(ks[0])} must be at least 1")
-    if np.any(np.diff(ks) <= 0):
-        raise ValueError("window grid must be strictly increasing")
-    limit = n // 4
-    if ks[-1] > limit:
-        bad = int(ks[np.argmax(ks > limit)])
-        raise ValueError(f"window k={bad} exceeds N/4={limit} for a sequence of length {n}")
+    _check_grid(ks, n)
 
     # r1[t] and r2[t] sum at[s] and (2s + 1) * at[s] over s < t, in int64
     # arithmetic that wraps, so exact modulo 2**64
@@ -235,11 +236,9 @@ def fit_exponent(curve: DisplacementCurve, k_min: int, k_max: int) -> ScalingFit
     in_range = (curve.k >= k_min) & (curve.k <= k_max)
     usable = in_range & (curve.f > 0)
     excluded = int(np.count_nonzero(in_range & (curve.f <= 0)))
-    if np.count_nonzero(usable) < 3:
-        raise ValueError(
-            f"need at least 3 points with F > 0 in [{k_min}, {k_max}], "
-            f"have {int(np.count_nonzero(usable))}"
-        )
+    have = int(np.count_nonzero(usable))
+    if have < 3:
+        raise ValueError(f"need at least 3 points with F > 0 in [{k_min}, {k_max}], have {have}")
     lk = np.log(curve.k[usable])
     lf = np.log(curve.f[usable])
     slope, intercept = np.polyfit(lk, lf, 1)
@@ -262,10 +261,10 @@ def default_k_grid(n: int, points_per_decade: int = 20) -> np.ndarray:
         raise ValueError("points_per_decade must be at least 1")
     k_max = n // 4
     count = max(int(round(np.log10(k_max) * points_per_decade)) + 1, 2)
-    grid = np.unique(np.geomspace(1.0, float(k_max), count).astype(np.int64))
-    if grid[-1] != k_max:
-        grid = np.append(grid, k_max)
-    return grid
+    # past this count the points lie less than 1 apart: every length is on the grid
+    if count > k_max * (np.ceil(np.log(k_max)) + 1) + 2:
+        return np.arange(1, k_max + 1)
+    return np.unique(np.geomspace(1.0, float(k_max), count).astype(np.int64))
 
 
 def average_displacement(curves: Sequence[DisplacementCurve]) -> DisplacementCurve:

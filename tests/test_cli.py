@@ -79,13 +79,18 @@ def _replay_line(path) -> list[str]:
 
 
 def test_normalize_roundtrip(tmp_path):
-    src = tmp_path / "raw.txt"
-    src.write_text("Call me Ishmael. Some YEARS ago...")
-    out = tmp_path / "norm.txt"
-    assert run(["normalize", "--input", src, "--output", out]) == 0
-    assert _body(out) == b"call me ishmael some years ago "
-    # the output re-normalizes to itself, headers stripped
-    assert normalize(_body(out)) == normalize(src.read_bytes())
+    raw = "Call me Ishmael. Some YEARS ago..."
+    # leading '#' lines are metadata, not text, up to the last one's
+    # newline or, when it has none, to the end of the input
+    cases = [("", raw), ("# notes\n#\n", raw), ("# notes, and no newline", "")]
+    for header, text in cases:
+        src = tmp_path / "raw.txt"
+        src.write_text(header + text)
+        out = tmp_path / "norm.txt"
+        assert run(["normalize", "--input", src, "--output", out]) == 0
+        assert _body(out) == (b"call me ishmael some years ago " if text else b"")
+        # the output re-normalizes to itself, headers stripped
+        assert normalize(_body(out)) == normalize(text)
 
 
 def test_normalize_trim_flag(tmp_path):
@@ -98,9 +103,10 @@ def test_normalize_trim_flag(tmp_path):
 
 def test_walk_on_empty_file_fails_cleanly(tmp_path, capsys):
     src = tmp_path / "empty.txt"
-    src.write_text("")
-    assert run(["walk", "--input", src, "--letter", "a"]) == 1
-    assert "empty text" in capsys.readouterr().err
+    for content in ("", "# a header line and no newline"):
+        src.write_text(content)
+        assert run(["walk", "--input", src, "--letter", "a"]) == 1
+        assert "empty text" in capsys.readouterr().err
 
 
 def test_missing_input_fails_cleanly(tmp_path, capsys):
@@ -127,6 +133,14 @@ def test_walk_output_and_fit_header(tmp_path, corpus_file):
     rows = [l for l in content.splitlines() if l and not l.startswith("#") and "\t" in l]
     k_col = [r.split("\t")[0] for r in rows if r.split("\t")[0] != "k"]
     assert all(int(v) >= 1 for v in k_col)
+    assert "# excluded-zero:" not in content
+    # in a text of period 3, the windows of a multiple of 3 all hold the
+    # same count of a's: F = 0 there, and the fit drops and counts them
+    periodic = tmp_path / "periodic.txt"
+    periodic.write_text("ab " * 400)
+    assert run(["walk", "--input", periodic, "-l", "a", "--fit", "1:300", "--output", out]) == 0
+    zeros = np.count_nonzero(default_k_grid(1200) % 3 == 0)
+    assert f"\n# excluded-zero: {zeros}\n" in out.read_text()
 
 
 def test_synth_is_deterministic_and_replayable(tmp_path):
@@ -204,6 +218,15 @@ def test_zipf_output(tmp_path, corpus_file):
     assert len(rows) == 4
     counts = [int(r.split("\t")[2]) for r in rows[1:]]
     assert counts == sorted(counts, reverse=True)
+    # --fit puts the slope of ln count against ln rank in the header; the
+    # corpus has too few words for one, so twelve words of counts 60 // rank
+    ranked = tmp_path / "ranked.txt"
+    ranked.write_text(" ".join(f"w{chr(97 + r)} " * (60 // (r + 1)) for r in range(12)))
+    assert run(["zipf", "--input", ranked, "--fit", "01:10", "--output", out]) == 0
+    ranks = np.arange(1, 11)
+    slope = np.polyfit(np.log(ranks), np.log(60 // ranks), 1)[0]
+    assert _header(out)["zipf-exponent"] == _fmt(float(slope))
+    assert _header(out)["fit-range"] == "1:10"
 
 
 def test_bands_and_band_jsd_output(tmp_path, corpus_file):
@@ -364,6 +387,7 @@ REPLAY_CASES = {
     "walk": ["walk", "-l", "a,e,space", "--average", "--fit", "010:1000"],
     "shuffle": ["shuffle", "--mode", "window-sample", "--window", 500, "--seed", 4],
     "shuffle-letter": ["shuffle", "--mode", "letter", "--window", 77, "--seed", 4],
+    "shuffle-word": ["shuffle", "--mode", "word", "--seed", 4],
     "synth": ["synth", "--length", 5000, "--burst-len", 100, "--seed", 9],
     "jsd-profile": ["jsd-profile", "-L", 5000],
     "zipf": ["zipf", "--top", 3],

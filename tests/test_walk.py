@@ -305,6 +305,18 @@ def test_displacement_rejects_bad_grids():
         displacement(s, [])
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [([5, 5], "strictly increasing"), ([0, 3], "at least 1"), ([10, 30], "k=30 exceeds N/4=25")],
+)
+def test_curve_and_displacement_reject_a_grid_alike(grid, message):
+    with pytest.raises(ValueError, match=message) as from_displacement:
+        displacement(_series([0, 1] * 50), grid)
+    with pytest.raises(ValueError, match=message) as from_curve:
+        DisplacementCurve(k=np.array(grid), f=np.ones(2), n=100)
+    assert str(from_curve.value) == str(from_displacement.value)
+
+
 def test_fit_recovers_exact_power_laws():
     k = np.unique(np.geomspace(10, 10_000, 30).astype(np.int64))
     curve = DisplacementCurve(k=k, f=3.0 * k.astype(float) ** 1.2, n=40_000)
@@ -351,6 +363,29 @@ def test_default_k_grid_shapes():
     assert default_k_grid(1_000_000)[-1] == 250_000
     with pytest.raises(ValueError, match="too short"):
         default_k_grid(39)
+    # a grid depends on n only through N/4: one n per N/4 of 10..5,000 at
+    # three densities, every density at every 50th, and a few longer texts
+    cases = [(n, ppd) for n in range(40, 20_001, 4) for ppd in (1, 20, 60)]
+    cases += [(n, ppd) for n in range(40, 20_001, 200) for ppd in range(1, 61)]
+    cases += [(n, ppd) for n in (10**5, 10**6 + 3, 10**7 + 1, 10**8) for ppd in range(1, 61)]
+    for n, ppd in cases:
+        g = default_k_grid(n, ppd)
+        assert g[0] == 1 and g[-1] == n // 4 and np.all(np.diff(g) > 0), (n, ppd)
+
+
+def test_default_k_grid_past_one_point_per_length():
+    # 10**30 points per decade would ask geomspace for about 5e30 floats;
+    # the grid holds every length, returned without building them
+    assert np.array_equal(default_k_grid(1_000_000, 10**30), np.arange(1, 250_001))
+    # at the densities around the count where that starts, the grid is
+    # still what geomspace gives
+    for n in (40, 401, 4_003, 40_000):
+        k_max = n // 4
+        first = int((k_max * (np.ceil(np.log(k_max)) + 1) + 2) / np.log10(k_max))
+        for ppd in range(first - 3, first + 4):
+            count = int(round(np.log10(k_max) * ppd)) + 1
+            spaced = np.unique(np.geomspace(1.0, float(k_max), count).astype(np.int64))
+            assert np.array_equal(default_k_grid(n, ppd), spaced), (n, ppd)
 
 
 def test_average_displacement():
