@@ -2,34 +2,37 @@
 
     python3 benchmarks/record.py BENCH_<n>.json
 
-Runs the benchmark (``python3 perfbench/run.py``) unchanged, three times
-per workload that BENCHMARK.json declares, each for its ``run_seconds``
+Runs the benchmark (``python3 perfbench/run.py``) unchanged, per
+workload that BENCHMARK.json declares, each run for its ``run_seconds``
 and with input seed ``SEED``: once on the tree with ``--trace 1`` for the
-per-layer metrics, and twice with ``--trace 0`` for the end-to-end ones
-(run time, throughput, peak RSS, set-up time), which a traced run does
-not report: once on the tree and once on the commit it was checked out
-at (``HEAD``). Run it with the whole change uncommitted, so that ``HEAD``
-is the commit the change starts from: once part of a change is
-committed, ``HEAD`` holds that part, and the record compares the tree
-with it rather than with the change's parent. Both sides run from
-copies in temporary directories of their own, so that their paths have
-equal length: the tree's files that git tracks or leaves unignored, and
-``HEAD`` extracted with ``git archive``; neither holds ``.git``. The path
-length shows in the heap layout of each run, and so in its peak RSS. The
-two untraced runs alternate which goes first from one workload to the
-next, so that the pair tells a change in the code from a drift in the
-host's speed.
+per-layer metrics, and in ``PAIRS`` pairs with ``--trace 0`` for
+the end-to-end ones (run time, throughput, peak RSS, set-up time), which
+a traced run does not report: each pair runs the tree and the commit it
+was checked out at (``HEAD``). Run it with the whole change uncommitted,
+so that ``HEAD`` is the commit the change starts from: once part of a
+change is committed, ``HEAD`` holds that part, and the record compares
+the tree with it rather than with the change's parent. Both sides run
+from copies in temporary directories of their own, so that their paths
+have equal length: the tree's files that git tracks or leaves
+unignored, and ``HEAD`` extracted with ``git archive``; neither holds
+``.git``. The path length shows in the heap layout of each run, and so
+in its peak RSS. Pair after pair, across the workloads, the side that
+goes first alternates, so that the pairs tell a change in the code from
+a drift in the host's speed; the median of several pairs keeps one slow
+run of either side from setting its number.
 
 The output holds, per workload, the traced run's final JSON line
 (per-layer metrics, operations attempted and failed), its ``env:`` line
-and its other summary lines; under ``end_to_end`` the same for the
-untraced run of the tree, under ``end_to_end.parent`` for that of
-``HEAD``, and under ``end_to_end.first`` which of the two ran first. It
-also holds the git revision of ``HEAD``, the paths that differed from
-it, and ``src_lines``, the line count of the package source as
+and its other summary lines. Under ``end_to_end`` it holds, per
+end-to-end metric, the median over the tree's untraced runs, under
+``end_to_end.parent`` the same for ``HEAD``, and under
+``end_to_end.runs`` every pair: which side ran ``first``, and each
+side's run (final line, ``env:`` line and summary). It also holds the
+git revision of ``HEAD``, the paths that differed from it, and
+``src_lines``, the line count of the package source as
 ``wc -l src/lettercorr/*.py`` gives it, with ``src_lines_parent``, the
-same count for ``HEAD``. A benchmark run that exits
-non-zero or prints no final line is an error, and no file is written.
+same count for ``HEAD``. A benchmark run that exits non-zero or prints
+no final line is an error, and no file is written.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # one input seed for every point, so that points compare like for like
 SEED = 0
+# untraced pairs of tree and HEAD per workload; the shared host's speed
+# drifts enough that one pair can put identical code past a bound
+PAIRS = 3
 
 
 def git(*args: str) -> str:
@@ -92,6 +99,15 @@ def run_benchmark(
     return {"env": env, "summary": lines[:-1], **json.loads(lines[-1])}
 
 
+def medians(runs: list[dict[str, object]]) -> dict[str, object]:
+    """Per end-to-end metric, the median of its value over the runs."""
+    metrics = {}
+    for name, m in runs[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in runs]
+        metrics[name] = {"unit": m["unit"], "value": statistics.median(values)}
+    return {"metrics": metrics}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("output", type=Path, help="file to write, e.g. BENCH_6.json")
@@ -113,12 +129,19 @@ def main() -> int:
         for i, w in enumerate(spec["workloads"]):
             name = w["name"]
             traced = run_benchmark(sides["tree"], command, name, seconds, 1)
-            order = ["tree", "parent"] if i % 2 == 0 else ["parent", "tree"]
-            untraced = {side: run_benchmark(sides[side], command, name, seconds, 0)
-                        for side in order}
+            pairs = []
+            for turn in range(i * PAIRS, (i + 1) * PAIRS):
+                order = ["tree", "parent"] if turn % 2 == 0 else ["parent", "tree"]
+                pairs.append({"first": order[0], **{
+                    side: run_benchmark(sides[side], command, name, seconds, 0) for side in order
+                }})
             workloads[name] = {
                 **traced,
-                "end_to_end": {**untraced["tree"], "parent": untraced["parent"], "first": order[0]},
+                "end_to_end": {
+                    **medians([p["tree"] for p in pairs]),
+                    "parent": medians([p["parent"] for p in pairs]),
+                    "runs": pairs,
+                },
             }
     record = {
         "revision": git("rev-parse", "HEAD").strip(),

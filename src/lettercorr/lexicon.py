@@ -165,28 +165,28 @@ def partition_bands(
     )
 
 
-def band_filter_text(
-    text: NormalizedText,
-    lex: FrequencyLexicon,
-    band: Band,
-    tokens: Tokens | None = None,
-) -> NormalizedText:
+def _band_labels(
+    text: NormalizedText, lex: FrequencyLexicon, bands: tuple[Band, ...], tokens: Tokens
+) -> np.ndarray:
+    """One band number per symbol: i + 1 for the letters of words in ``bands[i]``, else 0."""
+    band_of = {w: i for i, b in enumerate(bands, 1) for w in lex.words[b.rank_lo - 1 : b.rank_hi]}
+    dtype = np.min_scalar_type(len(bands))  # past 255 bands, uint8 overflows
+    by_type = np.array([band_of.get(w, 0) for w in tokens.vocab], dtype=dtype)
+    labels = np.zeros(len(text), dtype=dtype)
+    # tokens tile the letters in order, so token labels repeat into letter labels
+    labels[text.codes != SPACE] = np.repeat(by_type[tokens.types], tokens.lengths)
+    return labels
+
+
+def band_filter_text(text: NormalizedText, lex: FrequencyLexicon, band: Band) -> NormalizedText:
     """Blank out every word not in the band, keeping offsets intact.
 
     Out-of-band tokens are overwritten with spaces of equal length, so the
     output has exactly the text's length and in-band words sit at their
     original positions.
     """
-    if tokens is None:
-        tokens = tokenize(text)
-    in_band = set(lex.words[band.rank_lo - 1 : band.rank_hi])
-    keep = np.array([w in in_band for w in tokens.vocab], dtype=bool)
-    # tokens tile the letters in order, so token masks repeat into letter masks
-    out = text.codes.copy()
-    blank = out != SPACE
-    np.place(blank, blank, np.repeat(~keep[tokens.types], tokens.lengths))
-    np.putmask(out, blank, SPACE)
-    return NormalizedText(out)
+    labels = _band_labels(text, lex, (band,), tokenize(text))
+    return NormalizedText(np.where(labels == 1, text.codes, SPACE))
 
 
 def band_jsd(
@@ -205,10 +205,10 @@ def band_jsd(
     are skipped; pairs with a single pooled letter are not averaged.
     """
     length = check_segment_length(len(text), segment_length)
-    tokens = tokenize(text)
+    labels = _band_labels(text, lex, partition.bands, tokenize(text))
     entries = []
-    for band in partition.bands:
-        filtered = band_filter_text(text, lex, band, tokens)
+    for i, band in enumerate(partition.bands, start=1):
+        filtered = NormalizedText(np.where(labels == i, text.codes, SPACE))
         profile = jsd_profile(filtered, length, 2 * length, include_space=False)
         scored = profile.support > 1
         norm = profile.normalized[scored]

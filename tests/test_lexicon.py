@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lettercorr import (
@@ -126,7 +126,7 @@ def _loop_band_jsd(text: NormalizedText, lex, partition, length: int) -> list[Ba
     """One pair of bincounts per segment pair and band, as band_jsd was first computed."""
     entries = []
     for band in partition.bands:
-        codes = band_filter_text(text, lex, band).codes
+        codes = _loop_band_filter(text, lex, band).codes
         norms, effs = [], []
         for s in range(0, len(text) - 2 * length + 1, 2 * length):
             left = np.bincount(codes[s : s + length], minlength=27)[:SPACE]
@@ -311,15 +311,17 @@ def test_band_filter_letter_accounting():
 
 
 @given(surrogates, surrogates, st.integers(min_value=1, max_value=4))
+# ranks 1-10 of a 2-word lexicon keep only its two words
+@example(normalize("the cat sat on the mat by a big red dog"), normalize("the the cat"), 1)
 def test_band_filter_matches_the_per_token_loop(text, other, band_count):
-    # the other text's lexicon leaves some of this text's words unranked
-    for source in (text, other):
-        assume(len(tokenize(source)))
-        lex = build_lexicon(tokenize(source))
-        for band in partition_bands(lex, band_count, 1 / band_count).bands:
-            expected = _loop_band_filter(text, lex, band)
-            assert band_filter_text(text, lex, band) == expected
-            assert band_filter_text(text, lex, band, tokenize(text)) == expected
+    # the other text's lexicon leaves some of this text's words unranked, and
+    # the other text's bands may run past the ranks of this text's lexicon
+    assume(len(tokenize(text)) and len(tokenize(other)))
+    lexicons = [build_lexicon(tokenize(source)) for source in (text, other)]
+    for lex in lexicons:
+        for ranked in lexicons:
+            for band in partition_bands(ranked, band_count, 1 / band_count).bands:
+                assert band_filter_text(text, lex, band) == _loop_band_filter(text, lex, band)
 
 
 def test_band_jsd_homogeneous_text_sits_at_fluctuation_level():
@@ -361,6 +363,23 @@ def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span)
         # bitwise, NaN included
         assert _bits(got.mean_normalized) == _bits(want.mean_normalized)
         assert _bits(got.mean_trials) == _bits(want.mean_trials)
+
+
+def test_band_jsd_past_255_bands_matches_the_per_pair_loop():
+    # more word types than a uint8 band label can number
+    text = _iid_letter_text(5_000, 8)
+    lex = build_lexicon(tokenize(text))
+    partition = partition_bands(lex, 300, 1 / 300)
+    assert len(lex) > 256 and any(b.word_types for b in partition.bands[255:])
+    report = band_jsd(text, lex, partition, 200)
+    expected = _loop_band_jsd(text, lex, partition, 200)
+    assert [(e.band, e.pair_count) for e in report.entries] == [
+        (e.band, e.pair_count) for e in expected
+    ]
+    # bitwise, NaN included
+    assert [(_bits(e.mean_normalized), _bits(e.mean_trials)) for e in report.entries] == [
+        (_bits(e.mean_normalized), _bits(e.mean_trials)) for e in expected
+    ]
 
 
 def test_band_jsd_needs_one_pair():
