@@ -33,6 +33,12 @@ git revision of ``HEAD``, the paths that differed from it, and
 ``wc -l src/lettercorr/*.py`` gives it, with ``src_lines_parent``, the
 same count for ``HEAD``. A benchmark run that exits non-zero or prints
 no final line is an error, and no file is written.
+
+After writing the file it prints, per workload and end-to-end metric,
+the parent's median, the tree's, the relative change and the metric's
+bound from BENCHMARK.json, flagging a change worse than its bound.
+``setup_s`` is labelled as input generation: it times the benchmark's
+own input set-up, which runs no package code.
 """
 
 from __future__ import annotations
@@ -108,6 +114,23 @@ def medians(runs: list[dict[str, object]]) -> dict[str, object]:
     return {"metrics": metrics}
 
 
+def report(spec: dict[str, object], workloads: dict[str, object]) -> None:
+    """One line per workload and end-to-end metric: parent and tree medians,
+    the relative change and its bound, flagged when worse than the bound."""
+    for name, w in workloads.items():
+        tree, parent = w["end_to_end"]["metrics"], w["end_to_end"]["parent"]["metrics"]
+        for m in spec["end_to_end"]:
+            before, after = parent[m["name"]]["value"], tree[m["name"]]["value"]
+            change = (after - before) / before
+            worse = change > m["bound"] if m["better"] == "lower" else -change > m["bound"]
+            label = m["name"] + (" (input generation)" if m["name"] == "setup_s" else "")
+            flag = "  WORSE THAN BOUND" if worse else ""
+            print(
+                f"{name} {label}: parent {before:.4g} tree {after:.4g} {m['unit']}"
+                f" ({change:+.1%}, bound {m['bound']:.0%}){flag}"
+            )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("output", type=Path, help="file to write, e.g. BENCH_6.json")
@@ -154,6 +177,7 @@ def main() -> int:
         "workloads": workloads,
     }
     output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    report(spec, workloads)
     return 0
 
 

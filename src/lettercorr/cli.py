@@ -260,17 +260,21 @@ def cmd_walk(args: argparse.Namespace) -> tuple[dict[str, object], Body]:
     if args.average:
         names.append("average")
         curves.append(average_displacement(curves))
+    # every fit is made before any output, so a failed one leaves none behind
+    fits = [None] * len(curves)
+    if fit_range:
+        for i, (name, curve) in enumerate(zip(names, curves)):
+            try:
+                fits[i] = fit_exponent(curve, *fit_range)
+            except ValueError as exc:
+                raise ValueError(f"letter {name}: {exc}") from None
 
     def body(out: IO[bytes]) -> None:
-        for i, (name, curve) in enumerate(zip(names, curves)):
+        for i, (name, curve, fit) in enumerate(zip(names, curves, fits)):
             if i:
                 out.write(b"\n")
             out.write(f"# letter: {name}\n".encode())
-            if fit_range:
-                try:
-                    fit = fit_exponent(curve, *fit_range)
-                except ValueError as exc:
-                    raise ValueError(f"letter {name}: {exc}") from None
+            if fit:
                 out.write(f"# alpha: {_fmt(fit.alpha)}\n".encode())
                 out.write(f"# fit-range: {fit.k_min}:{fit.k_max}\n".encode())
                 out.write(f"# rms-residual: {_fmt(fit.rms_residual)}\n".encode())

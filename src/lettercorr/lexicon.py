@@ -208,6 +208,9 @@ def band_jsd(
     labels = _band_labels(text, lex, partition.bands, tokenize(text))
     entries = []
     for i, band in enumerate(partition.bands, start=1):
+        if not band.word_types:  # its filtered text is all spaces: no pair to score
+            entries.append(BandJsdEntry(band, math.nan, 0, math.nan))
+            continue
         filtered = NormalizedText(np.where(labels == i, text.codes, SPACE))
         profile = jsd_profile(filtered, length, 2 * length, include_space=False)
         scored = profile.support > 1

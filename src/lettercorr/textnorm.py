@@ -89,12 +89,17 @@ class NormalizedText:
     codes: np.ndarray
 
     def __post_init__(self) -> None:
-        codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
+        codes = np.asarray(self.codes)
         if codes.ndim != 1:
             raise ValueError("symbol codes must form a one-dimensional sequence")
-        if codes.size and int(codes.max()) > SPACE:
+        # checked before the cast, which would wrap 256 to 0 and truncate 0.9 to 0
+        if codes.size and codes.dtype.kind not in "biu":
+            raise ValueError(f"symbol codes must be integers, not {codes.dtype}")
+        if codes.size and (
+            int(codes.max()) > SPACE or (codes.dtype.kind == "i" and int(codes.min()) < 0)
+        ):
             raise ValueError(f"symbol codes must lie in 0..{SPACE}")
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", np.ascontiguousarray(codes, dtype=np.uint8))
 
     def __len__(self) -> int:
         return self.codes.size

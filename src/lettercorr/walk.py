@@ -43,12 +43,15 @@ class IndicatorSeries:
     source_letter: int
 
     def __post_init__(self) -> None:
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("indicator series must be a non-empty 1-d sequence")
-        if int(bits.max()) > 1:
+        if bits.dtype.kind not in "biu":
+            raise ValueError(f"indicator series must hold integers, not {bits.dtype}")
+        # checked before the cast, which would wrap 256 to 0 and -1 to 255
+        if int(bits.max()) > 1 or (bits.dtype.kind == "i" and int(bits.min()) < 0):
             raise ValueError("indicator series may only contain 0 and 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", np.ascontiguousarray(bits, dtype=np.uint8))
 
     def __len__(self) -> int:
         return self.bits.size
@@ -67,11 +70,11 @@ class DisplacementCurve:
     n: int
 
     def __post_init__(self) -> None:
-        k = np.ascontiguousarray(self.k, dtype=np.int64)
+        k = np.asarray(self.k)
         f = np.ascontiguousarray(self.f, dtype=np.float64)
         if k.shape != f.shape or k.ndim != 1:
             raise ValueError("k and F must be 1-d arrays of equal length")
-        _check_grid(k, self.n)
+        k = _check_grid(k, self.n)
         if np.any(f < 0):
             raise ValueError("displacement values must be non-negative")
         object.__setattr__(self, "k", k)
@@ -93,8 +96,12 @@ class ScalingFit:
     excluded_zero: int
 
 
-def _check_grid(k: np.ndarray, n: int) -> None:
-    """Window lengths must be at least 1, strictly increasing and at most N/4."""
+def _check_grid(k: np.ndarray, n: int) -> np.ndarray:
+    """``k`` as int64 window lengths, which must be integers, at least 1,
+    strictly increasing and at most N/4."""
+    if k.size and k.dtype.kind not in "biu":
+        raise ValueError(f"window lengths must be integers, not {k.dtype}")
+    k = np.ascontiguousarray(k, dtype=np.int64)
     if k.size and k[0] < 1:
         raise ValueError(f"window k={int(k[0])} must be at least 1")
     if np.any(np.diff(k) <= 0):
@@ -102,6 +109,7 @@ def _check_grid(k: np.ndarray, n: int) -> None:
     if k.size and k[-1] > n // 4:
         bad = int(k[np.argmax(k > n // 4)])
         raise ValueError(f"window k={bad} exceeds N/4={n // 4} for a sequence of length {n}")
+    return k
 
 
 def indicator(text: NormalizedText, letter: int | str) -> IndicatorSeries:
@@ -116,21 +124,41 @@ def indicator(text: NormalizedText, letter: int | str) -> IndicatorSeries:
 def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> DisplacementCurve:
     """Variance of length-k window sums over all starting positions.
 
-    With P the prefix sums of the bits, the m = N-k+1 window sums are
-    d_i = P[i+k] - P[i]. Their moments are exact integers: S1 = sum d_i
-    comes from the running sums Q1(x) = sum_{i<x} P[i], and S2 = sum d_i**2
-    from Q2(x) = sum_{i<x} P[i]**2 minus twice the cross term
-    sum P[i] P[i+k], one dot product per k. Q1 and Q2 are read from the
-    positions of the ones: the s-th one (from 0) enters P at index at[s],
-    one past its position, and adds 2s + 1 to P**2 there, so with
-    c = P[min(x, N)], Q1(x) = x c - R1[c] and Q2(x) = x c**2 - R2[c],
-    where R1[t] and R2[t] sum at[s] and (2s + 1) at[s] over s < t. R1
-    and R2 are int64 cumsums that wrap, exact modulo 2**64; since
-    0 <= S2 <= rows * k**2, the windows are taken in chunks of at most
-    (2**64 - 1) // k**2 rows (one chunk unless m * k**2 reaches 2**64,
-    near N = 7.4e6 at k = N/4), whose moments are recovered from their
-    residues and added in Python ints. F = (m S2 - S1**2) / m**2 is then
-    one correctly rounded division.
+    The m = N-k+1 window sums of each k have the exact moments S1 and S2
+    of :func:`_window_moments`, and F = (m S2 - S1**2) / m**2 is then one
+    correctly rounded division. Window lengths are capped at N/4 to keep
+    enough windows for a stable variance.
+    """
+    n = series.bits.size
+    ks = np.asarray(list(k_grid) if not isinstance(k_grid, np.ndarray) else k_grid)
+    if ks.size == 0:
+        raise ValueError("window grid is empty")
+    ks = _check_grid(ks, n)
+    moments = _window_moments(series.bits, [(0, n - k + 1, k) for k in ks.tolist()])
+    f = [(m * s2 - s1 * s1) / (m * m) for m, (s1, s2) in zip((n + 1 - ks).tolist(), moments)]
+    return DisplacementCurve(k=ks, f=np.array(f), n=n)
+
+
+def _window_moments(
+    bits: np.ndarray, spans: Sequence[tuple[int, int, int]]
+) -> list[tuple[int, int]]:
+    """Exact moments (S1, S2), in Python ints, of the window sums of each
+    span (a, b, k): the windows of length k that start at rows a..b-1,
+    for 0 <= a < b <= N-k+1.
+
+    With P the prefix sums of the bits, the window sums are
+    d_i = P[i+k] - P[i]. S1 = sum d_i comes from the running sums
+    Q1(x) = sum_{i<x} P[i], and S2 = sum d_i**2 from Q2(x) = sum_{i<x} P[i]**2
+    minus twice the cross term sum P[i] P[i+k], one dot product per chunk.
+    Q1 and Q2 are read from the positions of the ones: the s-th one (from
+    0) enters P at index at[s], one past its position, and adds 2s + 1 to
+    P**2 there, so with c = P[min(x, N)], Q1(x) = x c - R1[c] and
+    Q2(x) = x c**2 - R2[c], where R1[t] and R2[t] sum at[s] and
+    (2s + 1) at[s] over s < t. R1 and R2 are int64 cumsums that wrap,
+    exact modulo 2**64; since 0 <= S2 <= rows * k**2, a span is cut into
+    chunks of at most (2**64 - 1) // k**2 rows (one chunk unless
+    rows * k**2 reaches 2**64, near N = 7.4e6 at k = N/4), whose moments
+    are recovered from their residues and added in Python ints.
 
     The cross term is a float64 dot (BLAS) when that is exact. Every P
     is at most n1, the count of ones, so every product is at most n1**2,
@@ -141,24 +169,17 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
     representable integer, so the dot is exact. When that cap falls below
     ``_FLOAT_MIN_ROWS`` (n1 above about 866,000 ones) the prefix stays
     uint64 and the dot is the exact modular one; that switch is a speed
-    choice, tuned on synthetic sequences only, since either dot is
-    exact. Window lengths are capped at N/4 to keep enough windows for
-    a stable variance.
+    choice, tuned on synthetic sequences only, since either dot is exact.
 
     Memory is one word per symbol, the prefix P, plus three per one:
     the positions, R1 and R2. The positions are freed before P is built,
     so the peak is max(3 n1, N + 2 n1) words, at most three per symbol.
-    The chunks of consecutive ks are read in batches of about
-    ``_BATCH_CHUNKS`` chunks (or one k's, if it has more), with one gather
-    of Q1 and Q2 per batch; the bookkeeping takes about 400 bytes a chunk.
+    The chunks of consecutive spans are read in batches of about
+    ``_BATCH_CHUNKS`` chunks (or one span's, if it has more), with one
+    gather of Q1 and Q2 per batch; the bookkeeping takes about 400 bytes
+    a chunk.
     """
-    bits = series.bits
     n = bits.size
-    ks = np.asarray(list(k_grid) if not isinstance(k_grid, np.ndarray) else k_grid, dtype=np.int64)
-    if ks.size == 0:
-        raise ValueError("window grid is empty")
-    _check_grid(ks, n)
-
     # r1[t] and r2[t] sum at[s] and (2s + 1) * at[s] over s < t, in int64
     # arithmetic that wraps, so exact modulo 2**64
     at = np.flatnonzero(bits)
@@ -183,46 +204,31 @@ def displacement(series: IndicatorSeries, k_grid: Iterable[int]) -> Displacement
     prefix[1:] = bits
     np.cumsum(prefix, out=prefix)
 
-    f = []
-    chunks: list[tuple[int, int, int]] = []
-    ends = []
-    for j, k in enumerate(ks.tolist()):
-        m = n - k + 1
+    moments, chunks, ends = [], [], []
+    for j, (a, b, k) in enumerate(spans):
         rows = min(_WRAP_MASK // (k * k), dot_rows)
-        chunks += [(a, min(a + rows, m), k) for a in range(0, m, rows)]
+        chunks += [(lo, min(lo + rows, b), k) for lo in range(a, b, rows)]
         ends.append(len(chunks))
-        if len(chunks) >= _BATCH_CHUNKS or j == ks.size - 1:
-            s1, s2 = _chunk_moments(prefix, r1, r2, chunks)
-            for lo, hi in zip([0, *ends], ends):
-                m = n - chunks[lo][2] + 1
-                s1_k, s2_k = sum(s1[lo:hi]), sum(s2[lo:hi])
-                f.append((m * s2_k - s1_k * s1_k) / (m * m))
-            chunks, ends = [], []
-    return DisplacementCurve(k=ks, f=np.array(f), n=n)
-
-
-def _chunk_moments(
-    prefix: np.ndarray, r1: np.ndarray, r2: np.ndarray, chunks: list[tuple[int, int, int]]
-) -> tuple[list[int], list[int]]:
-    """S1 and S2 of the window sums of each chunk (a, b, k): the windows
-    of length k that start at rows a..b-1. Q1 and Q2 at a, b, a + k and
-    b + k of every chunk come from one gather, then one dot per chunk."""
-    n = prefix.size - 1
-    starts, stops, lags = np.array(chunks, dtype=np.int64).T
-    x = np.concatenate((starts, stops, starts + lags, stops + lags))
-    c = prefix[np.minimum(x, n)].astype(np.int64)
-    xc = x * c
-    q1 = (xc - r1[c]).reshape(4, -1)
-    q2 = (xc * c - r2[c]).reshape(4, -1)
-    # per chunk, S1 and the sum of squares lie in [0, 2**64), so their
-    # residues read as uint64 are the values themselves
-    s1 = (q1[3] - q1[2] - q1[1] + q1[0]).view(np.uint64).tolist()
-    squares = (q2[3] - q2[2] + q2[1] - q2[0]).view(np.uint64).tolist()
-    s2 = [
-        (square - 2 * int(np.dot(prefix[a + k : b + k], prefix[a:b]))) & _WRAP_MASK
-        for (a, b, k), square in zip(chunks, squares)
-    ]
-    return s1, s2
+        if len(chunks) < _BATCH_CHUNKS and j < len(spans) - 1:
+            continue
+        # Q1 and Q2 at a, b, a + k and b + k of every chunk in one gather
+        starts, stops, lags = np.array(chunks, dtype=np.int64).T
+        x = np.concatenate((starts, stops, starts + lags, stops + lags))
+        c = prefix[np.minimum(x, n)].astype(np.int64)
+        xc = x * c
+        q1 = (xc - r1[c]).reshape(4, -1)
+        q2 = (xc * c - r2[c]).reshape(4, -1)
+        # per chunk, S1 and the sum of squares lie in [0, 2**64), so their
+        # residues read as uint64 are the values themselves
+        s1 = (q1[3] - q1[2] - q1[1] + q1[0]).view(np.uint64).tolist()
+        squares = (q2[3] - q2[2] + q2[1] - q2[0]).view(np.uint64).tolist()
+        s2 = [
+            (square - 2 * int(np.dot(prefix[lo + k : hi + k], prefix[lo:hi]))) & _WRAP_MASK
+            for (lo, hi, k), square in zip(chunks, squares)
+        ]
+        moments += [(sum(s1[i:e]), sum(s2[i:e])) for i, e in zip([0, *ends], ends)]
+        chunks, ends = [], []
+    return moments
 
 
 def fit_exponent(curve: DisplacementCurve, k_min: int, k_max: int) -> ScalingFit:

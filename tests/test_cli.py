@@ -426,6 +426,10 @@ def test_failed_run_creates_no_file(tmp_path, corpus_file, capsys):
     assert run(FAILING_WALK + ["--input", corpus_file, "--output", outdir / "walk.tsv"]) == 1
     assert "letter e: need at least 3 points" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
+    # the corpus has no q: e's fit works, q's fails, and stdout stays empty
+    assert run(["walk", "-l", "e,q", "--fit", "1:3", "--input", corpus_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "letter q: need at least 3 points" in err
 
 
 def test_failed_run_leaves_existing_output_untouched(tmp_path, corpus_file):

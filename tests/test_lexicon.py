@@ -366,20 +366,24 @@ def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span)
 
 
 def test_band_jsd_past_255_bands_matches_the_per_pair_loop():
-    # more word types than a uint8 band label can number
+    # more word types than a uint8 band label can number; at the default
+    # share of 0.2 the first five bands take every word, and the 295
+    # empty bands after them are scored without a profile
     text = _iid_letter_text(5_000, 8)
     lex = build_lexicon(tokenize(text))
-    partition = partition_bands(lex, 300, 1 / 300)
-    assert len(lex) > 256 and any(b.word_types for b in partition.bands[255:])
-    report = band_jsd(text, lex, partition, 200)
-    expected = _loop_band_jsd(text, lex, partition, 200)
-    assert [(e.band, e.pair_count) for e in report.entries] == [
-        (e.band, e.pair_count) for e in expected
-    ]
-    # bitwise, NaN included
-    assert [(_bits(e.mean_normalized), _bits(e.mean_trials)) for e in report.entries] == [
-        (_bits(e.mean_normalized), _bits(e.mean_trials)) for e in expected
-    ]
+    spread, default = partition_bands(lex, 300, 1 / 300), partition_bands(lex, 300)
+    assert len(lex) > 256 and any(b.word_types for b in spread.bands[255:])
+    assert sum(not b.word_types for b in default.bands) == 295
+    for partition in (spread, default):
+        report = band_jsd(text, lex, partition, 200)
+        expected = _loop_band_jsd(text, lex, partition, 200)
+        assert [(e.band, e.pair_count) for e in report.entries] == [
+            (e.band, e.pair_count) for e in expected
+        ]
+        # bitwise, NaN included
+        assert [(_bits(e.mean_normalized), _bits(e.mean_trials)) for e in report.entries] == [
+            (_bits(e.mean_normalized), _bits(e.mean_trials)) for e in expected
+        ]
 
 
 def test_band_jsd_needs_one_pair():

@@ -331,6 +331,21 @@ def test_decode_symbols_reports_the_first_bad_byte_at_its_offset(data, start, ba
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        ([[0, 1]], "one-dimensional"),
+        # checked as given, not after a cast to uint8
+        ([256, 1, 26], "must lie in 0..26"),
+        ([-230], "must lie in 0..26"),
+        ([0.9, 1.7], "must be integers, not float64"),
+    ],
+)
+def test_normalized_text_rejects_codes_outside_the_alphabet(codes, message):
+    with pytest.raises(ValueError, match=message):
+        NormalizedText(np.array(codes))
+
+
 @given(st.lists(st.integers(0, SPACE), max_size=500))
 def test_to_bytes_matches_the_code_gather(codes):
     text = NormalizedText(np.array(codes, dtype=np.uint8))

@@ -95,6 +95,22 @@ def test_indicator_rejects_empty_text():
         indicator(normalize(""), "a")
 
 
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        ([], "non-empty 1-d"),
+        ([[0, 1], [1, 0]], "non-empty 1-d"),
+        # checked as given, not after a cast to uint8
+        ([0, 256, 1, 0.7] * 20, "must hold integers, not float64"),
+        ([0, 256, 1, 0] * 20, "only contain 0 and 1"),
+        ([0, -1, 1, 0] * 20, "only contain 0 and 1"),
+    ],
+)
+def test_indicator_series_rejects_bits_other_than_0_and_1(bits, message):
+    with pytest.raises(ValueError, match=message):
+        IndicatorSeries(bits=bits, source_letter=0)
+
+
 def test_constant_zero_series_has_zero_displacement():
     curve = displacement(_series([0] * 100), [1, 2, 5, 10, 25])
     assert np.all(curve.f == 0.0)
@@ -132,6 +148,39 @@ def test_displacement_is_the_exact_window_variance(bits, data):
     for k, f in zip(ks, got.tolist()):
         sums = [sum(bits[i : i + k]) for i in range(n - k + 1)]
         assert f == exact_variance(sum(sums), sum(d * d for d in sums), len(sums))
+
+
+@st.composite
+def spans(draw):
+    # 1-5 spans (a, b, k) of window starts, anywhere in the sequence
+    bits = draw(st.lists(st.integers(0, 1), min_size=8, max_size=400))
+    n = len(bits)
+    cases = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, n))
+        a = draw(st.integers(0, n - k))
+        cases.append((a, draw(st.integers(a + 1, n - k + 1)), k))
+    return bits, cases
+
+
+@given(spans(), st.data())
+def test_window_moments_are_the_exact_sums_over_each_span(case, data):
+    # small caps cut the spans into several chunks and batches on the
+    # float64 path; a minimum above the rows sends them down the uint64 one
+    bits, cases = case
+    square = max(sum(bits), 1) ** 2
+    bound = data.draw(st.integers(1, len(bits))) * square
+    min_rows = data.draw(st.integers(0, len(bits) + 1))
+    batch = data.draw(st.integers(1, 12))
+    with mock.patch.multiple(
+        walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows, _BATCH_CHUNKS=batch
+    ):
+        got = walk._window_moments(np.array(bits, dtype=np.uint8), cases)
+    want = []
+    for a, b, k in cases:
+        sums = [sum(bits[i : i + k]) for i in range(a, b)]
+        want.append((sum(sums), sum(d * d for d in sums)))
+    assert got == want
 
 
 @st.composite
@@ -307,7 +356,14 @@ def test_displacement_rejects_bad_grids():
 
 @pytest.mark.parametrize(
     "grid, message",
-    [([5, 5], "strictly increasing"), ([0, 3], "at least 1"), ([10, 30], "k=30 exceeds N/4=25")],
+    [
+        ([5, 5], "strictly increasing"),
+        ([0, 3], "at least 1"),
+        ([10, 30], "k=30 exceeds N/4=25"),
+        # not cast down to [2, 10] or [1, 2]
+        ([2.5, 10.7], "window lengths must be integers, not float64"),
+        ([1.5, 2.9], "window lengths must be integers, not float64"),
+    ],
 )
 def test_curve_and_displacement_reject_a_grid_alike(grid, message):
     with pytest.raises(ValueError, match=message) as from_displacement:
