@@ -5,12 +5,15 @@
 Builds the workload's inputs in a temporary directory with
 ``perfbench/workloads.py``, then runs its operations in order in one
 fresh interpreter, as ``perfbench/child.py`` does. After each operation
-it reads VmHWM, the resident-memory high-water mark, and prints how far
-it stands above the level right after the imports, with the operation's
-seconds. An operation's row therefore shows the peak of the sequence so
-far, not of the operation alone. The package run is the one in the
-checkout that holds this script; to measure another commit, run the
-script from a copy of that commit.
+it reads VmHWM, the resident-memory high-water mark, and the two parts
+of the current resident size, RssAnon (heap and other anonymous pages:
+the data) and RssFile (file-backed pages: mostly the code of loaded
+libraries), and prints how far each stands above its level right after
+the imports, with the operation's seconds. An operation's peak column
+therefore shows the peak of the sequence so far, not of the operation
+alone, while the two parts show what is resident once it has returned.
+The package run is the one in the checkout that holds this script; to
+measure another commit, run the script from a copy of that commit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ PERFBENCH = ROOT / "perfbench"
 LABEL_FLAGS = ("--mode", "-L", "-l", "--alphabet")
 # the one argument that makes this script the interpreter that runs the ops
 CHILD = "--child"
+# /proc/self/status fields read after each op: the peak, then the data and
+# the file-backed (library) parts of the current resident size
+MEMORY_FIELDS = ("VmHWM", "RssAnon", "RssFile")
 
 
 def label(argv: list[str]) -> str:
@@ -40,22 +46,32 @@ def label(argv: list[str]) -> str:
     return " ".join(parts)
 
 
+def resident_kib() -> list[int]:
+    """VmHWM, RssAnon and RssFile of this process, in KiB."""
+    fields = {}
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            key, _, value = line.partition(":")
+            fields[key] = value
+    return [int(fields[key].split()[0]) for key in MEMORY_FIELDS]
+
+
 def child() -> int:
     """Run the JSON list of operations on stdin; print one JSON list of
-    [exit code, VmHWM above the post-import level in KiB, seconds]."""
+    [exit code, VmHWM, RssAnon and RssFile above their post-import levels
+    in KiB, seconds]."""
     ops = json.load(sys.stdin)
     sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(PERFBENCH))
-    from child import high_water_kib
 
     import lettercorr.cli as cli
 
-    baseline = high_water_kib()
+    baseline = resident_kib()
     rows = []
     for argv in ops:
         start = time.perf_counter()
         rc = cli.main(argv)
-        rows.append([rc, high_water_kib() - baseline, time.perf_counter() - start])
+        seconds = time.perf_counter() - start
+        rows.append([rc, *(a - b for a, b in zip(resident_kib(), baseline)), seconds])
     json.dump(rows, sys.stdout)
     return 0
 
@@ -79,9 +95,10 @@ def main() -> int:
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return proc.returncode
-    print("op\trc\tpeak_mib\ts")
-    for op, (rc, kib, seconds) in zip(prepared.ops, json.loads(proc.stdout)):
-        print(f"{label(op.argv)}\t{rc}\t{kib / 1024:.2f}\t{seconds:.3f}")
+    print("op\trc\tpeak_mib\tanon_mib\tfile_mib\ts")
+    for op, (rc, *kib, seconds) in zip(prepared.ops, json.loads(proc.stdout)):
+        mib = "\t".join(f"{k / 1024:.2f}" for k in kib)
+        print(f"{label(op.argv)}\t{rc}\t{mib}\t{seconds:.3f}")
     return 0
 
 

@@ -33,6 +33,11 @@ _FLOAT_MIN_ROWS = 12_000
 # k of a text of a few million symbols at once, and few enough that the
 # per-chunk bookkeeping (some 400 bytes each) stays small at any N
 _BATCH_CHUNKS = 1 << 12
+# rows per block of the prefix that the exact kernel holds, unless the
+# largest window is longer: 2**16 rows (512 KiB of float64) keep the
+# per-block Python work (a pass over the spans, a gather, a dot per span)
+# small beside the dots, whatever N is
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +122,7 @@ def indicator(text: NormalizedText, letter: int | str) -> IndicatorSeries:
     code = symbol_code(letter)
     if len(text) == 0:
         raise ValueError("empty text")
-    bits = (text.codes == code).astype(np.uint8)
+    bits = (text.codes == code).view(np.uint8)
     return IndicatorSeries(bits=bits, source_letter=code)
 
 
@@ -155,10 +160,10 @@ def _window_moments(
     P**2 there, so with c = P[min(x, N)], Q1(x) = x c - R1[c] and
     Q2(x) = x c**2 - R2[c], where R1[t] and R2[t] sum at[s] and
     (2s + 1) at[s] over s < t. R1 and R2 are int64 cumsums that wrap,
-    exact modulo 2**64; since 0 <= S2 <= rows * k**2, a span is cut into
-    chunks of at most (2**64 - 1) // k**2 rows (one chunk unless
-    rows * k**2 reaches 2**64, near N = 7.4e6 at k = N/4), whose moments
-    are recovered from their residues and added in Python ints.
+    exact modulo 2**64; since 0 <= S2 <= rows * k**2, the rows of a span
+    are cut into chunks of at most (2**64 - 1) // k**2 rows (one chunk
+    unless rows * k**2 reaches 2**64, near N = 7.4e6 at k = N/4), whose
+    moments are recovered from their residues and added in Python ints.
 
     The cross term is a float64 dot (BLAS) when that is exact. Every P
     is at most n1, the count of ones, so every product is at most n1**2,
@@ -171,13 +176,20 @@ def _window_moments(
     uint64 and the dot is the exact modular one; that switch is a speed
     choice, tuned on synthetic sequences only, since either dot is exact.
 
-    Memory is one word per symbol, the prefix P, plus three per one:
-    the positions, R1 and R2. The positions are freed before P is built,
-    so the peak is max(3 n1, N + 2 n1) words, at most three per symbol.
-    The chunks of consecutive spans are read in batches of about
-    ``_BATCH_CHUNKS`` chunks (or one span's, if it has more), with one
-    gather of Q1 and Q2 per batch; the bookkeeping takes about 400 bytes
-    a chunk.
+    P is held one block of rows at a time. With kmax the largest k and
+    block = max(kmax, ``_BLOCK_ROWS``), the windows that start at rows
+    s..s+block-1 read P[s..s+block+kmax] only, so one buffer of
+    block + kmax + 1 words serves every span: it is refilled block by
+    block, keeping the kmax + 1 values the next block shares and summing
+    only the new ones, and each span's rows in a block are cut into
+    chunks under both caps. Memory is that buffer plus three words per
+    one: the positions, R1 and R2. The positions are freed before the
+    buffer is made, so the peak is max(3 n1, 2 n1 + block + kmax) words,
+    at most half a word per symbol for the prefix at kmax = N/4, and
+    O(kmax) at any N for a short grid. A block's chunks are read in
+    batches of about ``_BATCH_CHUNKS`` chunks (or one span's, if it has
+    more), with one gather of Q1 and Q2 per batch; the bookkeeping takes
+    about 400 bytes a chunk.
     """
     n = bits.size
     # r1[t] and r2[t] sum at[s] and (2s + 1) * at[s] over s < t, in int64
@@ -199,36 +211,51 @@ def _window_moments(
     dtype = np.float64
     if dot_rows < _FLOAT_MIN_ROWS:
         dtype, dot_rows = np.uint64, n
-    prefix = np.empty(n + 1, dtype=dtype)
-    prefix[0] = 0
-    prefix[1:] = bits
-    np.cumsum(prefix, out=prefix)
+    kmax = max(k for _, _, k in spans)
+    block = max(kmax, _BLOCK_ROWS)
+    # prefix[:have] holds P[s : s + have] for the block at row s
+    prefix = np.zeros(min(block + kmax, n) + 1, dtype=dtype)
+    have = 1
 
-    moments, chunks, ends = [], [], []
-    for j, (a, b, k) in enumerate(spans):
-        rows = min(_WRAP_MASK // (k * k), dot_rows)
-        chunks += [(lo, min(lo + rows, b), k) for lo in range(a, b, rows)]
-        ends.append(len(chunks))
-        if len(chunks) < _BATCH_CHUNKS and j < len(spans) - 1:
-            continue
-        # Q1 and Q2 at a, b, a + k and b + k of every chunk in one gather
-        starts, stops, lags = np.array(chunks, dtype=np.int64).T
-        x = np.concatenate((starts, stops, starts + lags, stops + lags))
-        c = prefix[np.minimum(x, n)].astype(np.int64)
-        xc = x * c
-        q1 = (xc - r1[c]).reshape(4, -1)
-        q2 = (xc * c - r2[c]).reshape(4, -1)
-        # per chunk, S1 and the sum of squares lie in [0, 2**64), so their
-        # residues read as uint64 are the values themselves
-        s1 = (q1[3] - q1[2] - q1[1] + q1[0]).view(np.uint64).tolist()
-        squares = (q2[3] - q2[2] + q2[1] - q2[0]).view(np.uint64).tolist()
-        s2 = [
-            (square - 2 * int(np.dot(prefix[lo + k : hi + k], prefix[lo:hi]))) & _WRAP_MASK
-            for (lo, hi, k), square in zip(chunks, squares)
-        ]
-        moments += [(sum(s1[i:e]), sum(s2[i:e])) for i, e in zip([0, *ends], ends)]
-        chunks, ends = [], []
-    return moments
+    total1, total2 = [0] * len(spans), [0] * len(spans)
+    chunks, ends = [], []
+    for s in range(0, max(b for _, b, _ in spans), block):
+        if s:
+            have -= block
+            prefix[:have] = prefix[block : block + have]
+        top = min(block + kmax + 1, n + 1 - s)
+        prefix[have:top] = bits[s + have - 1 : s + top - 1]
+        np.cumsum(prefix[have - 1 : top], out=prefix[have - 1 : top])
+        have = top
+        # each span's rows in this block, as offsets from s
+        for j, (a, b, k) in enumerate(spans):
+            lo, hi = max(a - s, 0), min(b - s, block)
+            rows = min(_WRAP_MASK // (k * k), dot_rows)
+            chunks += [(r, min(r + rows, hi), k) for r in range(lo, hi, rows)]
+            ends.append(len(chunks))
+            if len(chunks) < _BATCH_CHUNKS and j < len(spans) - 1:
+                continue
+            # Q1 and Q2 at a, b, a + k and b + k of every chunk in one gather
+            starts, stops, lags = np.array(chunks, dtype=np.int64).reshape(-1, 3).T
+            x = np.concatenate((starts, stops, starts + lags, stops + lags))
+            c = prefix[np.minimum(x, n - s)].astype(np.int64)
+            x += s
+            xc = x * c
+            q1 = (xc - r1[c]).reshape(4, -1)
+            q2 = (xc * c - r2[c]).reshape(4, -1)
+            # per chunk, S1 and the sum of squares lie in [0, 2**64), so
+            # their residues read as uint64 are the values themselves
+            s1 = (q1[3] - q1[2] - q1[1] + q1[0]).view(np.uint64).tolist()
+            squares = (q2[3] - q2[2] + q2[1] - q2[0]).view(np.uint64).tolist()
+            s2 = [
+                (square - 2 * int(np.dot(prefix[lo + k : hi + k], prefix[lo:hi]))) & _WRAP_MASK
+                for (lo, hi, k), square in zip(chunks, squares)
+            ]
+            for i, e, span in zip([0, *ends], ends, range(j + 1 - len(ends), j + 1)):
+                total1[span] += sum(s1[i:e])
+                total2[span] += sum(s2[i:e])
+            chunks, ends = [], []
+    return list(zip(total1, total2))
 
 
 def fit_exponent(curve: DisplacementCurve, k_min: int, k_max: int) -> ScalingFit:

@@ -86,7 +86,12 @@ def test_indicator_series_partition_the_alphabet():
     text = NormalizedText(rng.integers(0, 27, size=500).astype(np.uint8))
     total = np.zeros(500, dtype=np.int64)
     for code in range(27):
-        total += indicator(text, code).bits
+        bits = indicator(text, code).bits
+        # the bits are the comparison's bytes viewed as uint8, which must
+        # equal the cast they replace
+        assert bits.dtype == np.uint8
+        assert bits.tobytes() == (text.codes == code).astype(np.uint8).tobytes()
+        total += bits
     assert np.all(total == 1)
 
 
@@ -166,14 +171,18 @@ def spans(draw):
 @given(spans(), st.data())
 def test_window_moments_are_the_exact_sums_over_each_span(case, data):
     # small caps cut the spans into several chunks and batches on the
-    # float64 path; a minimum above the rows sends them down the uint64 one
+    # float64 path; a minimum above the rows sends them down the uint64 one.
+    # A small block floor leaves blocks of the largest k's rows, so spans
+    # and chunks cross block edges and the prefix is refilled many times
     bits, cases = case
     square = max(sum(bits), 1) ** 2
     bound = data.draw(st.integers(1, len(bits))) * square
     min_rows = data.draw(st.integers(0, len(bits) + 1))
     batch = data.draw(st.integers(1, 12))
+    block = data.draw(st.integers(1, len(bits)))
     with mock.patch.multiple(
-        walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows, _BATCH_CHUNKS=batch
+        walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows, _BATCH_CHUNKS=batch,
+        _BLOCK_ROWS=block,
     ):
         got = walk._window_moments(np.array(bits, dtype=np.uint8), cases)
     want = []
@@ -203,8 +212,10 @@ def test_float_chunks_match_the_uint64_kernel(case, data):
     # minimum above the resulting rows sends the walk down the uint64
     # path. The kernel reads Q1 and Q2 from the ones' positions, at every
     # chunk edge of a batch of ks in one gather, and small batches end
-    # anywhere from inside the first k's chunks to after the last k; the
-    # reference keeps them dense and takes one k at a time
+    # anywhere from inside the first k's chunks to after the last k. The
+    # kernel holds the prefix one block of rows at a time, and a small
+    # block floor puts block edges inside the chunks; the reference keeps
+    # everything dense and takes one k at a time
     bits, k = case
     n = len(bits)
     ks = sorted(data.draw(st.sets(st.integers(1, n // 4), max_size=5)) | {k, n // 4})
@@ -213,8 +224,10 @@ def test_float_chunks_match_the_uint64_kernel(case, data):
     bound = rows * square + data.draw(st.integers(0, square - 1))
     min_rows = data.draw(st.integers(0, n + 1))
     batch = data.draw(st.integers(1, 2 * n))
+    block = data.draw(st.integers(1, n))
     with mock.patch.multiple(
-        walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows, _BATCH_CHUNKS=batch
+        walk, _FLOAT_EXACT=bound, _FLOAT_MIN_ROWS=min_rows, _BATCH_CHUNKS=batch,
+        _BLOCK_ROWS=block,
     ):
         got = displacement(_series(bits), ks).f
     assert got.tolist() == uint64_displacement(np.array(bits, dtype=np.uint8), ks).tolist()
@@ -248,26 +261,39 @@ def _peak_bytes(series, ks) -> int:
         tracemalloc.stop()
 
 
-def test_displacement_memory_is_one_word_per_symbol_plus_three_per_one():
-    # the float64 prefix, 8 bytes a symbol, and the positions' two running
-    # sums, 16 bytes a one: space, the novel's most frequent symbol, is
-    # one in five symbols, so it needs about 11.1 bytes a symbol
+def test_displacement_memory_is_the_prefix_block_plus_three_words_per_one():
+    # out to k = N/4 the prefix buffer holds N/4 + N/4 + 1 words, 4 bytes a
+    # symbol, beside the positions' two running sums, 16 bytes a one:
+    # space, the novel's most frequent symbol, is one in five symbols, so
+    # it needs about 7.1 bytes a symbol; the whole prefix would add 4
     text = synthetic_novel()
     n = len(text)
     series = indicator(text, "space")
     assert series.mean < 0.2
     peak = _peak_bytes(series, default_k_grid(n))
-    assert peak <= 12 * n, f"{peak / n:.2f} bytes per symbol"
-    # at p = 0.3, out to k = N/4, 8 bytes a symbol and 16 a one come to
-    # 12.8 bytes a symbol; a uint64 copy of the float64 prefix would add 8
+    assert peak <= 9 * n, f"{peak / n:.2f} bytes per symbol"
+    # at p = 0.3, 4 bytes a symbol and 16 a one come to 8.8 bytes a
+    # symbol; a uint64 copy of the float64 buffer would add 4
     bits = (np.random.default_rng(4).random(1_000_000) < 0.3).astype(np.uint8)
     peak = _peak_bytes(_series(bits), [1, 10, 1000, 250_000])
-    assert peak <= 13 * 1_000_000, f"{peak / 1e6:.2f} bytes per symbol"
+    assert peak <= 10 * 1_000_000, f"{peak / 1e6:.2f} bytes per symbol"
     # when every symbol is a one the positions and both running sums
     # peak at three words a symbol, before the prefix is built
     ones = _series(np.ones(1_000_000, dtype=np.uint8))
     peak = _peak_bytes(ones, [1, 10, 1000, 250_000])
     assert peak <= 24.5 * 1_000_000, f"{peak / 1e6:.2f} bytes per symbol"
+
+
+def test_short_grid_memory_is_set_by_the_largest_window():
+    # a grid that ends at k = 1,000 holds a prefix block of 2**16 + 1,000
+    # words whatever N is, so the peak is the positions and their two
+    # running sums, three words a one: 2.4 bytes a symbol at p = 0.1,
+    # where the whole prefix would take 8
+    n = 4_000_000
+    bits = (np.random.default_rng(10).random(n) < 0.1).astype(np.uint8)
+    grid = np.unique(np.geomspace(1, 1000, 30).astype(np.int64))
+    peak = _peak_bytes(_series(bits), grid)
+    assert peak <= 3 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_chunk_bookkeeping_is_bounded_by_the_batches():
