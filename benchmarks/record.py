@@ -16,27 +16,31 @@ from copies in temporary directories of their own, so that their paths
 have equal length: the tree's files that git tracks or leaves
 unignored, and ``HEAD`` extracted with ``git archive``; neither holds
 ``.git``. The path length shows in the heap layout of each run, and so
-in its peak RSS. Pair after pair, across the workloads, the side that
-goes first alternates, so that the pairs tell a change in the code from
-a drift in the host's speed; the median of several pairs keeps one slow
-run of either side from setting its number.
+in its peak RSS: pair n runs both copies under a name of n letters, so
+that the pairs sample several path lengths and a change in peak RSS
+that only comes from the layout shows as spread. Pair after pair,
+across the workloads, the side that goes first alternates, so that the
+pairs tell a change in the code from a drift in the host's speed; the
+median of several pairs keeps one slow run of either side from setting
+its number.
 
 The output holds, per workload, the traced run's final JSON line
 (per-layer metrics, operations attempted and failed), its ``env:`` line
 and its other summary lines. Under ``end_to_end`` it holds, per
 end-to-end metric, the median over the tree's untraced runs, under
 ``end_to_end.parent`` the same for ``HEAD``, and under
-``end_to_end.runs`` every pair: which side ran ``first``, and each
-side's run (final line, ``env:`` line and summary). It also holds the
-git revision of ``HEAD``, the paths that differed from it, and
-``src_lines``, the line count of the package source as
-``wc -l src/lettercorr/*.py`` gives it, with ``src_lines_parent``, the
-same count for ``HEAD``. A benchmark run that exits non-zero or prints
+``end_to_end.runs`` every pair: which side ran ``first``, the length of
+both sides' paths, and each side's run (final line, ``env:`` line and
+summary). It also holds the git revision of ``HEAD``, the paths that
+differed from it, and ``src_lines``, the line count of the package
+source as ``wc -l src/lettercorr/*.py`` gives it, with
+``src_lines_parent``, the same count for ``HEAD``. A benchmark run that exits non-zero or prints
 no final line is an error, and no file is written.
 
 After writing the file it prints, per workload and end-to-end metric,
 the parent's median, the tree's, the relative change and the metric's
-bound from BENCHMARK.json, flagging a change worse than its bound.
+bound from BENCHMARK.json, flagging a change worse than its bound, and
+per workload each side's lowest and highest peak RSS over the pairs.
 ``setup_s`` is labelled as input generation: it times the benchmark's
 own input set-up, which runs no package code.
 """
@@ -85,6 +89,11 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+def rename(path: Path, letters: int) -> Path:
+    """``path`` renamed to a name of ``letters`` letters."""
+    return path.rename(path.with_name("c" * letters))
+
+
 def src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "lettercorr").glob("*.py"))
 
@@ -129,6 +138,16 @@ def report(spec: dict[str, object], workloads: dict[str, object]) -> None:
                 f"{name} {label}: parent {before:.4g} tree {after:.4g} {m['unit']}"
                 f" ({change:+.1%}, bound {m['bound']:.0%}){flag}"
             )
+        runs = w["end_to_end"]["runs"]
+        spread = {
+            side: [r[side]["metrics"]["peak_rss_mib"]["value"] for r in runs]
+            for side in ("parent", "tree")
+        }
+        print(
+            f"{name} peak_rss_mib over {len(runs)} path lengths:"
+            + "".join(f" {side} {min(v):.4g}-{max(v):.4g}" for side, v in spread.items())
+            + " MiB"
+        )
 
 
 def main() -> int:
@@ -145,7 +164,10 @@ def main() -> int:
     ]
     workloads = {}
     with tempfile.TemporaryDirectory() as tree, tempfile.TemporaryDirectory() as parent:
-        sides = {"tree": Path(tree), "parent": Path(parent)}
+        # equal-length temporary directories, each holding one copy
+        sides = {"tree": Path(tree) / "c", "parent": Path(parent) / "c"}
+        for path in sides.values():
+            path.mkdir()
         copy_tree(sides["tree"])
         extract_head(sides["parent"])
         lines = {side: src_lines(path) for side, path in sides.items()}
@@ -154,8 +176,9 @@ def main() -> int:
             traced = run_benchmark(sides["tree"], command, name, seconds, 1)
             pairs = []
             for turn in range(i * PAIRS, (i + 1) * PAIRS):
+                sides = {side: rename(path, turn + 1) for side, path in sides.items()}
                 order = ["tree", "parent"] if turn % 2 == 0 else ["parent", "tree"]
-                pairs.append({"first": order[0], **{
+                pairs.append({"first": order[0], "path_length": len(str(sides["tree"])), **{
                     side: run_benchmark(sides[side], command, name, seconds, 0) for side in order
                 }})
             workloads[name] = {

@@ -110,6 +110,9 @@ def _pair_stats(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
 
 # pairs per chunk, and symbols their starts may span: bounds a chunk's arrays
 _CHUNK_PAIRS, _CHUNK_SPAN = 1024, 1 << 18
+# symbols per piece of a chunk's span counted at once: bounds the bincount
+# index at 256 KiB, whatever the segment length
+_PIECE = 1 << 15
 
 
 def check_segment_length(n: int, segment_length: int) -> int:
@@ -173,8 +176,9 @@ def jsd_profile(
     starts = range(0, n - 2 * length + 1, step)
     n_symbols = ALPHABET_SIZE if include_space else SPACE
     # Pairs are counted a chunk at a time. A chunk's span is cut at every
-    # segment edge; the cumulative sum of one bincount over the blocks
-    # between edges gives each segment's counts as a difference of two rows.
+    # segment edge; the cumulative sum of the counts of the blocks between
+    # edges gives each segment's counts as a difference of two rows. The
+    # blocks are counted by one bincount per piece of ``_PIECE`` symbols.
     chunks = []
     size = max(1, min(_CHUNK_PAIRS, _CHUNK_SPAN // step))
     for i in range(0, len(starts), size):
@@ -183,10 +187,17 @@ def jsd_profile(
         bounds = lefts + np.arange(3)[:, None] * length
         edges = np.unique(bounds)
         # block j counts into row j + 1, so cum[k] counts the span before edges[k]
-        index = np.repeat(np.arange(1, edges.size) * ALPHABET_SIZE, np.diff(edges))
-        index += text.codes[edges[0] : edges[-1]]
-        hist = np.bincount(index, minlength=edges.size * ALPHABET_SIZE)
-        cum = np.cumsum(hist.reshape(-1, ALPHABET_SIZE)[:, :n_symbols], axis=0)
+        hist = np.zeros((edges.size, ALPHABET_SIZE), dtype=np.int64)
+        for a in range(edges[0], edges[-1], _PIECE):
+            b = min(a + _PIECE, edges[-1])
+            # the piece meets the blocks of rows lo..hi, cut at edges[lo:hi]
+            lo, hi = np.searchsorted(edges, (a, b - 1), side="right")
+            sizes = np.diff(edges[lo:hi], prepend=a, append=b)
+            index = np.repeat(np.arange(sizes.size) * ALPHABET_SIZE, sizes)
+            index += text.codes[a:b]
+            counts = np.bincount(index, minlength=sizes.size * ALPHABET_SIZE)
+            hist[lo : hi + 1] += counts.reshape(-1, ALPHABET_SIZE)
+        cum = np.cumsum(hist[:, :n_symbols], axis=0)
         start, mid, end = np.searchsorted(edges, bounds)
         left, right = cum[mid] - cum[start], cum[end] - cum[mid]
         counted = left.any(axis=1) & right.any(axis=1)

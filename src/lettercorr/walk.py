@@ -33,11 +33,11 @@ _FLOAT_MIN_ROWS = 12_000
 # k of a text of a few million symbols at once, and few enough that the
 # per-chunk bookkeeping (some 400 bytes each) stays small at any N
 _BATCH_CHUNKS = 1 << 12
-# rows per block of the prefix that the exact kernel holds, unless the
-# largest window is longer: 2**16 rows (512 KiB of float64) keep the
-# per-block Python work (a pass over the spans, a gather, a dot per span)
-# small beside the dots, whatever N is
-_BLOCK_ROWS = 1 << 16
+# rows per block of the prefix that the exact kernel holds, whatever the
+# largest window: 2**17 rows (1 MiB of float64) keep the per-block Python
+# work (a pass over the spans, a gather, a dot per span) small beside the
+# dots, where 2**16 rows made walks of a 1.2M-symbol text 13-36% slower
+_BLOCK_ROWS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,24 +177,27 @@ def _window_moments(
     choice, tuned on synthetic sequences only, since either dot is exact.
 
     P is held one block of rows at a time. With kmax the largest k and
-    block = max(kmax, ``_BLOCK_ROWS``), the windows that start at rows
-    s..s+block-1 read P[s..s+block+kmax] only, so one buffer of
-    block + kmax + 1 words serves every span: it is refilled block by
-    block, keeping the kmax + 1 values the next block shares and summing
-    only the new ones, and each span's rows in a block are cut into
-    chunks under both caps. Memory is that buffer plus three words per
-    one: the positions, R1 and R2. The positions are freed before the
-    buffer is made, so the peak is max(3 n1, 2 n1 + block + kmax) words,
-    at most half a word per symbol for the prefix at kmax = N/4, and
-    O(kmax) at any N for a short grid. A block's chunks are read in
-    batches of about ``_BATCH_CHUNKS`` chunks (or one span's, if it has
-    more), with one gather of Q1 and Q2 per batch; the bookkeeping takes
-    about 400 bytes a chunk.
+    block = ``_BLOCK_ROWS``, the windows that start at rows s..s+block-1
+    read P[s..s+block+kmax] only, so one buffer of block + kmax + 1 words
+    serves every span: it is refilled block by block, keeping the kmax + 1
+    values the next block shares and summing only the new ones (when
+    kmax > block the kept values overlap their old place; numpy copies
+    them forward without a temporary), and each span's rows in a block
+    are cut into chunks under both caps. Memory is that buffer plus three
+    words per one: the positions, R1 and R2. The positions are freed
+    before the buffer is made, so the peak is
+    max(3 n1, 2 n1 + block + kmax) words: a quarter of a word per symbol
+    and a fixed 1 MiB for the prefix at kmax = N/4, and O(kmax) at any N
+    for a short grid. A block's chunks are read in batches of about
+    ``_BATCH_CHUNKS`` chunks (or one span's, if it has more), with one
+    gather of Q1 and Q2 per batch; the bookkeeping takes about 400 bytes
+    a chunk.
     """
     n = bits.size
     # r1[t] and r2[t] sum at[s] and (2s + 1) * at[s] over s < t, in int64
-    # arithmetic that wraps, so exact modulo 2**64
-    at = np.flatnonzero(bits)
+    # arithmetic that wraps, so exact modulo 2**64. The bits are 0 or 1, so
+    # their bool view has the same nonzeros, which numpy finds 3x faster
+    at = np.flatnonzero(bits.view(bool))
     at += 1
     ones = at.size
     r1 = np.zeros(ones + 1, dtype=np.int64)
@@ -212,7 +215,7 @@ def _window_moments(
     if dot_rows < _FLOAT_MIN_ROWS:
         dtype, dot_rows = np.uint64, n
     kmax = max(k for _, _, k in spans)
-    block = max(kmax, _BLOCK_ROWS)
+    block = _BLOCK_ROWS
     # prefix[:have] holds P[s : s + have] for the block at row s
     prefix = np.zeros(min(block + kmax, n) + 1, dtype=dtype)
     have = 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_integration import synthetic_novel
 
 from lettercorr import (
     SPACE,
@@ -190,12 +191,14 @@ def test_jsd_and_entropy_match_the_one_dimensional_sums(pairs):
     st.booleans(),
     st.sampled_from([1, 2, 3, 5, divergence._CHUNK_PAIRS]),
     st.sampled_from([1, 20, divergence._CHUNK_SPAN]),
+    # small pieces cut both the segments and the blocks between their edges
+    st.sampled_from([1, 7, divergence._PIECE]),
 )
-def test_profile_matches_the_per_boundary_loop(text, data, include_space, pairs, span):
+def test_profile_matches_the_per_boundary_loop(text, data, include_space, pairs, span, piece):
     length = data.draw(st.integers(1, len(text) // 2), label="length")
     # steps that divide L, that do not, and that exceed it
     step = data.draw(st.integers(1, 2 * length + 3), label="step")
-    with mock.patch.multiple(divergence, _CHUNK_PAIRS=pairs, _CHUNK_SPAN=span):
+    with mock.patch.multiple(divergence, _CHUNK_PAIRS=pairs, _CHUNK_SPAN=span, _PIECE=piece):
         profile = jsd_profile(text, length, step, include_space=include_space)
     _assert_profile_is(profile, _loop_profile(text, length, step, include_space))
     assert profile.step == step
@@ -225,6 +228,21 @@ def test_profile_memory_stays_near_its_output():
         tracemalloc.stop()
     output = sum(getattr(profile, name).nbytes for name in PROFILE_ARRAYS)
     assert peak <= 3 * output
+
+
+def test_profile_memory_is_bounded_by_the_pieces():
+    # a chunk's counts are built a piece of 2**15 symbols at a time, so
+    # long segments cost no more than short ones; one bincount index over
+    # a chunk's span took 3.7 MB at L = 1e5 and 5.2 MB at L = 2e5
+    text = synthetic_novel()
+    for length in (100_000, 200_000):
+        tracemalloc.start()
+        try:
+            jsd_profile(text, length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000, f"L = {length}: {peak / 1e6:.2f} MB"
 
 
 def test_profile_of_constant_text_is_zero():

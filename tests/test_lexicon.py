@@ -347,13 +347,14 @@ def _bits(x: float) -> bytes:
     st.integers(min_value=1, max_value=5),
     st.sampled_from([1, 2, 3, divergence._CHUNK_PAIRS]),
     st.sampled_from([1, 20, divergence._CHUNK_SPAN]),
+    st.sampled_from([1, 7, divergence._PIECE]),
 )
-def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span):
+def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span, piece):
     assume(len(text) >= 2 and len(tokenize(text)))
     lex = build_lexicon(tokenize(text))
     partition = partition_bands(lex, band_count, 1 / band_count)
     length = data.draw(st.integers(1, len(text) // 2), label="length")
-    with mock.patch.multiple(divergence, _CHUNK_PAIRS=pairs, _CHUNK_SPAN=span):
+    with mock.patch.multiple(divergence, _CHUNK_PAIRS=pairs, _CHUNK_SPAN=span, _PIECE=piece):
         report = band_jsd(text, lex, partition, length)
     expected = _loop_band_jsd(text, lex, partition, length)
     assert len(report.entries) == len(expected)

@@ -262,21 +262,22 @@ def _peak_bytes(series, ks) -> int:
 
 
 def test_displacement_memory_is_the_prefix_block_plus_three_words_per_one():
-    # out to k = N/4 the prefix buffer holds N/4 + N/4 + 1 words, 4 bytes a
-    # symbol, beside the positions' two running sums, 16 bytes a one:
-    # space, the novel's most frequent symbol, is one in five symbols, so
-    # it needs about 7.1 bytes a symbol; the whole prefix would add 4
+    # out to k = N/4 the prefix buffer holds 2**17 + N/4 + 1 words, 2 bytes
+    # a symbol and 1 MiB, beside the positions' two running sums, 16 bytes
+    # a one: space, the novel's most frequent symbol, is one in five
+    # symbols, so it needs about 6.0 bytes a symbol; a block of N/4 rows
+    # would add 1.1 (7.1), the whole prefix 4
     text = synthetic_novel()
     n = len(text)
     series = indicator(text, "space")
     assert series.mean < 0.2
     peak = _peak_bytes(series, default_k_grid(n))
-    assert peak <= 9 * n, f"{peak / n:.2f} bytes per symbol"
-    # at p = 0.3, 4 bytes a symbol and 16 a one come to 8.8 bytes a
-    # symbol; a uint64 copy of the float64 buffer would add 4
+    assert peak <= 6.5 * n, f"{peak / n:.2f} bytes per symbol"
+    # at p = 0.3, 2 bytes a symbol, 1 MiB and 16 bytes a one come to
+    # 7.9 bytes a symbol; a uint64 copy of the float64 buffer would add 3
     bits = (np.random.default_rng(4).random(1_000_000) < 0.3).astype(np.uint8)
     peak = _peak_bytes(_series(bits), [1, 10, 1000, 250_000])
-    assert peak <= 10 * 1_000_000, f"{peak / 1e6:.2f} bytes per symbol"
+    assert peak <= 8.5 * 1_000_000, f"{peak / 1e6:.2f} bytes per symbol"
     # when every symbol is a one the positions and both running sums
     # peak at three words a symbol, before the prefix is built
     ones = _series(np.ones(1_000_000, dtype=np.uint8))
@@ -285,7 +286,7 @@ def test_displacement_memory_is_the_prefix_block_plus_three_words_per_one():
 
 
 def test_short_grid_memory_is_set_by_the_largest_window():
-    # a grid that ends at k = 1,000 holds a prefix block of 2**16 + 1,000
+    # a grid that ends at k = 1,000 holds a prefix block of 2**17 + 1,000
     # words whatever N is, so the peak is the positions and their two
     # running sums, three words a one: 2.4 bytes a symbol at p = 0.1,
     # where the whole prefix would take 8
@@ -297,16 +298,16 @@ def test_short_grid_memory_is_set_by_the_largest_window():
 
 
 def test_chunk_bookkeeping_is_bounded_by_the_batches():
-    # a float64 bound of 2,000 rows cuts the grid's windows into some
-    # 50,000 chunks, about 400 bytes each if read all at once (20 bytes a
-    # symbol); batches hold it to about 2 bytes a symbol here, over the
-    # walk's 12.8 at p = 0.3
-    n = 1_000_000
+    # a float64 bound of 400 rows cuts the grid's windows into some 28,000
+    # chunks per prefix block, about 400 bytes each if a block's were read
+    # at once (over 40 bytes a symbol here); batches of 4,096 chunks hold
+    # it to about 7 bytes a symbol, beside the walk's 11 at p = 0.3
+    n = 1 << 18
     bits = (np.random.default_rng(1).random(n) < 0.3).astype(np.uint8)
     ones = int(bits.sum())
-    with mock.patch.multiple(walk, _FLOAT_EXACT=2000 * ones * ones, _FLOAT_MIN_ROWS=0):
+    with mock.patch.multiple(walk, _FLOAT_EXACT=400 * ones * ones, _FLOAT_MIN_ROWS=0):
         peak = _peak_bytes(_series(bits), default_k_grid(n))
-    assert peak <= 17 * n, f"{peak / n:.2f} bytes per symbol"
+    assert peak <= 25 * n, f"{peak / n:.2f} bytes per symbol"
 
 
 def test_windows_past_the_uint64_bound_are_summed_in_chunks():
