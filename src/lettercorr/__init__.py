@@ -21,7 +21,6 @@ from .lexicon import (
     FrequencyLexicon,
     HalfComparison,
     VarianceModel,
-    band_filter_text,
     band_jsd,
     build_lexicon,
     compare_halves,
@@ -79,7 +78,6 @@ __all__ = [
     "Tokens",
     "VarianceModel",
     "average_displacement",
-    "band_filter_text",
     "band_jsd",
     "build_lexicon",
     "compare_halves",

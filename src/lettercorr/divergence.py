@@ -126,6 +126,48 @@ def check_segment_length(n: int, segment_length: int) -> int:
     return length
 
 
+def _segment_pairs(
+    text: NormalizedText, length: int, step: int, n_symbols: int, labels=None, groups: int = 1
+):
+    """Yield each chunk's pair offsets (every ``step`` symbols from 0) and
+    the counts of the first ``n_symbols`` symbols in the pairs' left and
+    right segments, in int64 rows per (pair, group), pair-major. ``labels``
+    puts each symbol in a group below ``groups``; None puts all in one.
+
+    A chunk's span is cut at every segment edge; the cumulative sum of the
+    block counts between edges, one bincount per piece of ``_PIECE``
+    symbols, gives each segment's counts as a difference of two rows. A
+    chunk holds at most ``_CHUNK_PAIRS // groups`` pairs, whatever groups.
+    """
+    starts = range(0, len(text) - 2 * length + 1, step)
+    size = max(1, min(_CHUNK_PAIRS // groups, _CHUNK_SPAN // step))
+    for i in range(0, len(starts), size):
+        chunk = starts[i : i + size]
+        lefts = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
+        bounds = lefts + np.arange(3)[:, None] * length
+        edges = np.unique(bounds)
+        # block j counts into row j + 1, so cum[k] counts the span before edges[k]
+        hist = np.zeros((edges.size, groups, ALPHABET_SIZE), dtype=np.int64)
+        for a in range(edges[0], edges[-1], _PIECE):
+            b = min(a + _PIECE, edges[-1])
+            # the piece meets the blocks of rows lo..hi, cut at edges[lo:hi]
+            lo, hi = np.searchsorted(edges, (a, b - 1), side="right")
+            sizes = np.diff(edges[lo:hi], prepend=a, append=b)
+            index = np.repeat(np.arange(sizes.size) * groups, sizes)
+            if labels is not None:
+                index += labels[a:b]
+            index *= ALPHABET_SIZE
+            index += text.codes[a:b]
+            counts = np.bincount(index, minlength=hist[lo : hi + 1].size)
+            hist[lo : hi + 1] += counts.reshape(-1, groups, ALPHABET_SIZE)
+        cum = np.cumsum(hist[..., :n_symbols], axis=0)
+        # free this chunk's table before the caller's next step allocates
+        del index, hist
+        start, mid, end = np.searchsorted(edges, bounds)
+        left, right = cum[mid] - cum[start], cum[end] - cum[mid]
+        yield lefts, left.reshape(-1, n_symbols), right.reshape(-1, n_symbols)
+
+
 @dataclass(frozen=True, eq=False)
 class JsdProfile:
     """Divergence between adjacent segments at each boundary position.
@@ -173,38 +215,11 @@ def jsd_profile(
     if step < 1:
         raise ValueError("step must be at least 1")
 
-    starts = range(0, n - 2 * length + 1, step)
     n_symbols = ALPHABET_SIZE if include_space else SPACE
-    # Pairs are counted a chunk at a time. A chunk's span is cut at every
-    # segment edge; the cumulative sum of the counts of the blocks between
-    # edges gives each segment's counts as a difference of two rows. The
-    # blocks are counted by one bincount per piece of ``_PIECE`` symbols.
     chunks = []
-    size = max(1, min(_CHUNK_PAIRS, _CHUNK_SPAN // step))
-    for i in range(0, len(starts), size):
-        chunk = starts[i : i + size]
-        lefts = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
-        bounds = lefts + np.arange(3)[:, None] * length
-        edges = np.unique(bounds)
-        # block j counts into row j + 1, so cum[k] counts the span before edges[k]
-        hist = np.zeros((edges.size, ALPHABET_SIZE), dtype=np.int64)
-        for a in range(edges[0], edges[-1], _PIECE):
-            b = min(a + _PIECE, edges[-1])
-            # the piece meets the blocks of rows lo..hi, cut at edges[lo:hi]
-            lo, hi = np.searchsorted(edges, (a, b - 1), side="right")
-            sizes = np.diff(edges[lo:hi], prepend=a, append=b)
-            index = np.repeat(np.arange(sizes.size) * ALPHABET_SIZE, sizes)
-            index += text.codes[a:b]
-            counts = np.bincount(index, minlength=sizes.size * ALPHABET_SIZE)
-            hist[lo : hi + 1] += counts.reshape(-1, ALPHABET_SIZE)
-        cum = np.cumsum(hist[:, :n_symbols], axis=0)
-        start, mid, end = np.searchsorted(edges, bounds)
-        left, right = cum[mid] - cum[start], cum[end] - cum[mid]
+    for lefts, left, right in _segment_pairs(text, length, step, n_symbols):
         counted = left.any(axis=1) & right.any(axis=1)
         chunks.append((lefts[counted], *_pair_stats(left[counted], right[counted])))
-        # free this chunk's arrays before the next chunk or the joined
-        # columns are allocated, so at most one chunk's arrays are alive
-        del index, hist, cum, left, right
     lefts, raw, fluct, support, trials = (np.concatenate(c) for c in zip(*chunks))
     return JsdProfile(
         positions=lefts + length,

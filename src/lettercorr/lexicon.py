@@ -2,10 +2,10 @@
 
 Word types are ranked by decreasing frequency and partitioned into
 contiguous rank bands that each account for a fixed share of all letters
-in the text. Filtering the text down to one band and profiling the
-divergence of adjacent segments shows which part of the vocabulary drives
-changes in letter composition; half-vs-half word counts expose the same
-drift at the level of individual words.
+in the text. The divergence between each band's letter counts in
+adjacent segments shows which part of the vocabulary drives changes in
+letter composition; half-vs-half word counts expose the same drift at the
+level of individual words.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import check_segment_length, jsd_profile
+from .divergence import _pair_stats, _segment_pairs, check_segment_length
 from .textnorm import SPACE, NormalizedText, Tokens, tokenize
 
 
@@ -178,17 +178,6 @@ def _band_labels(
     return labels
 
 
-def band_filter_text(text: NormalizedText, lex: FrequencyLexicon, band: Band) -> NormalizedText:
-    """Blank out every word not in the band, keeping offsets intact.
-
-    Out-of-band tokens are overwritten with spaces of equal length, so the
-    output has exactly the text's length and in-band words sit at their
-    original positions.
-    """
-    labels = _band_labels(text, lex, (band,), tokenize(text))
-    return NormalizedText(np.where(labels == 1, text.codes, SPACE))
-
-
 def band_jsd(
     text: NormalizedText,
     lex: FrequencyLexicon,
@@ -197,32 +186,37 @@ def band_jsd(
 ) -> BandJsdReport:
     """Mean normalized divergence of adjacent segment pairs per band.
 
-    Each band's entry is read from the letters-only ``jsd_profile`` of the
-    text filtered to that band, at step 2L: segment pairs tile the
-    original coordinate space from the start (offsets 0, 2L, 4L, ...), and
-    each pair's divergence is normalized by the fluctuation level for its
-    own letter counts. Pairs where a segment contains no in-band letters
-    are skipped; pairs with a single pooled letter are not averaged.
+    Segment pairs tile the text from the start at step 2L (offsets 0, 2L,
+    4L, ...). One pass counts the letters of each band in both segments of
+    every pair, and each (pair, band) row's divergence is normalized by the
+    fluctuation level for its own letter counts. Rows where a segment holds
+    no letter of the band are skipped; rows with a single pooled letter are
+    not averaged.
     """
     length = check_segment_length(len(text), segment_length)
     labels = _band_labels(text, lex, partition.bands, tokenize(text))
+    groups = len(partition.bands) + 1
+    # the band (0 for words in no band), normalized divergence and trials of each scored row
+    band, norm, trials = [], [], []
+    for lefts, left, right in _segment_pairs(text, length, 2 * length, SPACE, labels, groups):
+        group = np.tile(np.arange(groups, dtype=labels.dtype), lefts.size)
+        counted = left.any(axis=1) & right.any(axis=1)
+        raw, fluct, support, trial = _pair_stats(left[counted], right[counted])
+        scored = support > 1
+        band.append(group[counted][scored])
+        norm.append(raw[scored] / fluct[scored])
+        trials.append(trial[scored])
+    # joined one column at a time, each list freed as its column is made
+    band = np.concatenate(band)
+    norm = np.concatenate(norm)
+    trials = np.concatenate(trials)
     entries = []
-    for i, band in enumerate(partition.bands, start=1):
-        if not band.word_types:  # its filtered text is all spaces: no pair to score
-            entries.append(BandJsdEntry(band, math.nan, 0, math.nan))
-            continue
-        filtered = NormalizedText(np.where(labels == i, text.codes, SPACE))
-        profile = jsd_profile(filtered, length, 2 * length, include_space=False)
-        scored = profile.support > 1
-        norm = profile.normalized[scored]
-        entries.append(
-            BandJsdEntry(
-                band=band,
-                mean_normalized=float(np.mean(norm)) if norm.size else math.nan,
-                pair_count=norm.size,
-                mean_trials=float(np.mean(profile.trials[scored])) if norm.size else math.nan,
-            )
-        )
+    for i, b in enumerate(partition.bands, start=1):
+        # the band's rows in text order, so its means add as a per-pair loop does
+        rows = band == i
+        count = int(np.count_nonzero(rows))
+        means = [float(np.mean(column[rows])) if count else math.nan for column in (norm, trials)]
+        entries.append(BandJsdEntry(b, means[0], count, means[1]))
     return BandJsdReport(entries=tuple(entries), segment_length=length)
 
 

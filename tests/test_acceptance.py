@@ -9,6 +9,7 @@ printed PASS summaries.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import lettercorr
 from lettercorr import (
     IndicatorSeries,
     NormalizedText,
@@ -273,12 +275,18 @@ def test_criterion_12b_streaming_normalization_memory(tmp_path):
             fh.write(block)
     assert big.stat().st_size == 100 << 20
 
+    # the child imports the package this test imports, from wherever it lies
+    package_root = os.path.dirname(os.path.dirname(lettercorr.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+
     def child_rss(extra_args: list[str]) -> int:
         out = subprocess.run(
             [sys.executable, "-c", _CHILD_SCRIPT, *extra_args],
             capture_output=True,
             text=True,
             check=True,
+            env=env,
         )
         return int(out.stdout.strip())  # KiB on Linux
 

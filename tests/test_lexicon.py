@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from test_integration import synthetic_novel
 
 from lettercorr import (
     SPACE,
     NormalizedText,
     Tokens,
-    band_filter_text,
     band_jsd,
     build_lexicon,
     compare_halves,
@@ -26,7 +27,7 @@ from lettercorr import (
     tokenize,
     zipf_fit,
 )
-from lettercorr.lexicon import Band, BandJsdEntry, BandPartition, FrequencyLexicon
+from lettercorr.lexicon import Band, BandJsdEntry, BandPartition, FrequencyLexicon, _band_labels
 
 
 def _tokens(words) -> Tokens:
@@ -277,11 +278,18 @@ def test_partition_bands_matches_the_rank_order_scan(text, data):
     assert [b.letter_share.hex() for b in got.bands] == [b.letter_share.hex() for b in want.bands]
 
 
+def _in_band(text: NormalizedText, lex: FrequencyLexicon, band) -> np.ndarray:
+    """Where the one-band labels mark a letter of the band."""
+    labels = _band_labels(text, lex, (band,), tokenize(text))
+    assert labels.shape == text.codes.shape
+    return labels == 1
+
+
 def test_band_filter_whole_lexicon_is_identity():
     text = normalize("the whale sees the sea")
     lex = build_lexicon(tokenize(text))
     part = partition_bands(lex, band_count=1, target_share=1.0)
-    assert band_filter_text(text, lex, part.bands[0]) == text
+    assert np.array_equal(_in_band(text, lex, part.bands[0]), text.codes != SPACE)
 
 
 def test_band_filter_empty_band_blanks_everything():
@@ -289,9 +297,7 @@ def test_band_filter_empty_band_blanks_everything():
     lex = build_lexicon(tokenize(text))
     part = partition_bands(build_lexicon(tokenize(normalize("x"))), band_count=5)
     empty = part.bands[1]
-    filtered = band_filter_text(text, lex, empty)
-    assert len(filtered) == len(text)
-    assert np.all(filtered.codes == SPACE)
+    assert not _in_band(text, lex, empty).any()
 
 
 def test_band_filter_letter_accounting():
@@ -300,13 +306,12 @@ def test_band_filter_letter_accounting():
     part = partition_bands(lex)
     total = np.zeros(26, dtype=np.int64)
     for band in part.bands:
-        filtered = band_filter_text(text, lex, band)
-        assert len(filtered) == len(text)
-        counts = np.bincount(filtered.codes, minlength=27)[:26]
+        counts = np.bincount(text.codes[_in_band(text, lex, band)], minlength=27)
+        assert counts[SPACE] == 0
         expected = (lex.counts * lex.lengths)[band.rank_lo - 1 : band.rank_hi].sum()
         assert counts.sum() == expected
-        total += counts
-    # the five filtered texts partition the original letter counts exactly
+        total += counts[:26]
+    # the five bands' letters partition the original letter counts exactly
     assert np.array_equal(total, np.bincount(text.codes, minlength=27)[:26])
 
 
@@ -321,7 +326,8 @@ def test_band_filter_matches_the_per_token_loop(text, other, band_count):
     for lex in lexicons:
         for ranked in lexicons:
             for band in partition_bands(ranked, band_count, 1 / band_count).bands:
-                assert band_filter_text(text, lex, band) == _loop_band_filter(text, lex, band)
+                kept = _loop_band_filter(text, lex, band).codes != SPACE
+                assert np.array_equal(_in_band(text, lex, band), kept)
 
 
 def test_band_jsd_homogeneous_text_sits_at_fluctuation_level():
@@ -344,14 +350,18 @@ def _bits(x: float) -> bytes:
 @given(
     st.one_of(surrogates, word_texts),
     st.data(),
-    st.integers(min_value=1, max_value=5),
+    # up to 13 label groups: the chunk's pair bound runs from its floor of
+    # one pair to _CHUNK_PAIRS // groups
+    st.integers(min_value=1, max_value=12),
     st.sampled_from([1, 2, 3, divergence._CHUNK_PAIRS]),
     st.sampled_from([1, 20, divergence._CHUNK_SPAN]),
     st.sampled_from([1, 7, divergence._PIECE]),
 )
 def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span, piece):
-    assume(len(text) >= 2 and len(tokenize(text)))
-    lex = build_lexicon(tokenize(text))
+    # a lexicon of the text's first half leaves the words only the rest holds in no band
+    ranked = NormalizedText(text.codes[: data.draw(st.sampled_from([len(text), len(text) // 2]))])
+    assume(len(text) >= 2 and len(tokenize(ranked)))
+    lex = build_lexicon(tokenize(ranked))
     partition = partition_bands(lex, band_count, 1 / band_count)
     length = data.draw(st.integers(1, len(text) // 2), label="length")
     with mock.patch.multiple(divergence, _CHUNK_PAIRS=pairs, _CHUNK_SPAN=span, _PIECE=piece):
@@ -368,8 +378,8 @@ def test_band_jsd_matches_the_per_pair_loop(text, data, band_count, pairs, span,
 
 def test_band_jsd_past_255_bands_matches_the_per_pair_loop():
     # more word types than a uint8 band label can number; at the default
-    # share of 0.2 the first five bands take every word, and the 295
-    # empty bands after them are scored without a profile
+    # share of 0.2 five bands take every word, and the 295 empty bands
+    # have no scored rows
     text = _iid_letter_text(5_000, 8)
     lex = build_lexicon(tokenize(text))
     spread, default = partition_bands(lex, 300, 1 / 300), partition_bands(lex, 300)
@@ -385,6 +395,22 @@ def test_band_jsd_past_255_bands_matches_the_per_pair_loop():
         assert [(_bits(e.mean_normalized), _bits(e.mean_trials)) for e in report.entries] == [
             (_bits(e.mean_normalized), _bits(e.mean_trials)) for e in expected
         ]
+
+
+def test_band_jsd_memory_is_bounded_by_the_chunk_table():
+    # a chunk holds at most _CHUNK_PAIRS // groups pairs, so 301 label
+    # groups keep its count table as small as one group's; bounded by
+    # pairs alone, a chunk's arrays took 63 bytes a symbol here
+    text = synthetic_novel()
+    lex = build_lexicon(tokenize(text))
+    partition = partition_bands(lex, 300, 1 / 300)
+    tracemalloc.start()
+    try:
+        band_jsd(text, lex, partition, 1_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * len(text), f"{peak / len(text):.2f} B/symbol"
 
 
 def test_band_jsd_needs_one_pair():
